@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RatMatrix
-from .poly import HomogPoly
+from .poly import as_poly
 
 
 def bump(s):
@@ -66,7 +66,7 @@ def realize_jet(omegas):
     """
     pieces = []
     for i, omega in enumerate(omegas):
-        poly = omega.poly if isinstance(omega, HomogPoly) else omega
+        poly = as_poly(omega)
         if not poly.is_homogeneous(i) and not poly.is_zero():
             raise ValueError(f"entry {i} is not homogeneous of degree {i}")
         pieces.append(poly.to_float())
@@ -163,7 +163,7 @@ def polynomial_coefficients(omegas):
     """Exact coefficients of sum omega_i, keyed like finite_diff_jet output."""
     out = {}
     for omega in omegas:
-        poly = omega.poly if isinstance(omega, HomogPoly) else omega
+        poly = as_poly(omega)
         for mono, c in poly.terms.items():
             out[mono] = out.get(mono, 0) + (float(c) if not isinstance(c, float) else c)
     return {m: c for m, c in out.items() if c != 0}

@@ -1,6 +1,8 @@
 """Numeric knobs for float-mode computations.
 
-All exact-mode code paths ignore these.  The environment variable
+All exact-mode code paths ignore these.  The float time-c flow map has no
+knob: jet.flow_time_jet derives its halving count and series length from c,
+K and the field's coefficients.  The environment variable
 JETFLOW_FLOAT_TOL, when set, overrides both the residual and the subgroup
 matching tolerances at import-free call time (it is read on each access so
 tests can monkeypatch the environment).
@@ -22,9 +24,6 @@ DELTA0_TOL = 1e-9
 
 # Search window |t| <= DELTA0_WINDOW for the subgroup parameter.
 DELTA0_WINDOW = 100.0
-
-# Fixed step length for the RK4 jet integrator: ceil(|c|/step) steps.
-FLOW_STEP = 0.01
 
 _ENV_VAR = "JETFLOW_FLOAT_TOL"
 

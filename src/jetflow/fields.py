@@ -16,8 +16,8 @@ from math import gcd as int_gcd, isqrt
 from . import univar
 from .errors import NoSuchFactorError, NotDivisibleError
 from .linalg import RatMatrix, minimal_polynomial, nullspace, rref
-from .poly import (EXACT, HomogPoly, MultiPoly, PolyMap, bivariate_homog_gcd,
-                   divide_exact)
+from .poly import (EXACT, HomogPoly, MultiPoly, PolyMap, as_poly,
+                   bivariate_homog_gcd, divide_exact)
 
 
 @dataclass
@@ -60,7 +60,7 @@ def cross_product_field(funcs):
     the gradient matrix with column j removed, matching the planar Hamiltonian
     convention (-g_y, g_x).
     """
-    funcs = [g.poly if isinstance(g, HomogPoly) else g for g in funcs]
+    funcs = [as_poly(g) for g in funcs]
     if not funcs:
         raise ValueError("need at least one function")
     n = funcs[0].nvars
@@ -93,7 +93,7 @@ def reduced_hamiltonian(g):
 
     deg F = deg g - 1 - deg D.
     """
-    poly = g.poly if isinstance(g, HomogPoly) else g
+    poly = as_poly(g)
     if poly.nvars != 2:
         raise ValueError("reduced Hamiltonian fields are planar (two variables)")
     if not poly.is_homogeneous():
@@ -169,7 +169,7 @@ def gradients_independent_sampled(funcs, samples=None):
     Evaluates the gradient matrix at sample rational points and reports
     whether full rank n-1 is ever attained.  Advisory only.
     """
-    funcs = [g.poly if isinstance(g, HomogPoly) else g for g in funcs]
+    funcs = [as_poly(g) for g in funcs]
     n = funcs[0].nvars
     if samples is None:
         base = [Fraction(1), Fraction(2), Fraction(-3), Fraction(5, 2), Fraction(-7, 3)]
@@ -192,7 +192,7 @@ def stabilizer_tangent(funcs):
     the n^2 entries of V and returns the exact nullspace (canonical RREF
     basis).
     """
-    funcs = [g.poly if isinstance(g, HomogPoly) else g for g in funcs]
+    funcs = [as_poly(g) for g in funcs]
     if not funcs:
         raise ValueError("need at least one function")
     n = funcs[0].nvars
@@ -283,7 +283,7 @@ def binary_form_profile(g):
     g); q counts distinct definite quadratic factors.  Also verifies the
     degree formula deg(reduced field) = l + 2q - 1 when g is nonconstant.
     """
-    poly = g.poly if isinstance(g, HomogPoly) else g
+    poly = as_poly(g)
     if poly.nvars != 2:
         raise ValueError("binary forms have two variables")
     if poly.is_zero():

@@ -5,15 +5,17 @@ x + v_1(x) t + v_2(x) t^2/2! + ..., with v_1 = F and v_{i+1} the directional
 derivative of v_i along F.  Substituting a function alpha(x) for t gives the
 shift map x -> Phi(x, alpha(x)); for a field of flat order p the order bound
 j^{i(p-1)}(v_i) = 0 makes every K-jet of a shift a finite computation.
+Every flow jet here comes from that one series, VectorFieldJet.flow_coeffs:
+the shift jet is the hatted shift with h = id, and the float time-c flow
+sums the series of a time-scaled field and squares the result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 from fractions import Fraction
 
-from .config import FLOW_STEP
 from .linalg import RatMatrix
 from .poly import EXACT, FLOAT, MultiPoly, PolyMap, Substituter, compose
 
@@ -45,25 +47,23 @@ class VectorFieldJet:
         else:
             self.L = None
         self._vcache = {}
-        self._vlock = threading.Lock()
 
     def initial_part_map(self):
         return PolyMap([h.poly for h in self.P])
 
     def flow_coeffs(self, imax, k):
         """v_1..v_imax, each truncated to order k (cached per k)."""
-        with self._vlock:
-            vs = self._vcache.setdefault(k, [PolyMap(self.field.coords, k)])
-            while len(vs) < imax:
-                prev = vs[-1]
-                nxt = []
-                for coord in prev.coords:
-                    acc = MultiPoly.zero(self.n, self.mode)
-                    for j in range(self.n):
-                        acc = acc + coord.partial(j).mul_trunc(self.field.coords[j], k)
-                    nxt.append(acc)
-                vs.append(PolyMap(nxt, k))
-            return vs[:imax]
+        vs = self._vcache.setdefault(k, [PolyMap(self.field.coords, k)])
+        while len(vs) < imax:
+            prev = vs[-1]
+            nxt = []
+            for coord in prev.coords:
+                acc = MultiPoly.zero(self.n, self.mode)
+                for j in range(self.n):
+                    acc = acc + coord.partial(j).mul_trunc(self.field.coords[j], k)
+                nxt.append(acc)
+            vs.append(PolyMap(nxt, k))
+        return vs[:imax]
 
     def __repr__(self):
         return f"VectorFieldJet(p={self.p}, field={self.field})"
@@ -138,7 +138,7 @@ def _series_term_bound(p, ord_alpha, k):
 
 
 def shift_jet(field, alpha, k):
-    """j^K of the shift map x -> Phi(x, alpha(x)).
+    """j^K of the shift map x -> Phi(x, alpha(x)), the hatted shift with h = id.
 
     For p = 1 a nonzero alpha(0) is transcendental in exact mode (rejected);
     in float mode it is reduced through the constant-time flow map.
@@ -147,29 +147,11 @@ def shift_jet(field, alpha, k):
         raise ValueError("alpha must live in the field's variables")
     if alpha.mode != field.mode:
         raise ValueError("scalar-mode mismatch")
-    c = alpha.constant_term()
-    if c != 0 and field.p == 1:
-        if field.mode == EXACT:
-            raise ValueError(
-                "p=1 with alpha(0) != 0 is not exactly computable; "
-                "normalize the input or use float mode")
-        base = flow_time_jet(field, c, k)
-        return hatted_shift_jet(field, base, alpha - c, k)
-    if alpha.is_zero():
-        return PolyMap.identity(field.n, field.mode, k)
-    imax = _series_term_bound(field.p, 0 if c != 0 else int(alpha.min_degree()), k)
-    vs = field.flow_coeffs(imax, k) if imax >= 1 else []
-    coords = list(PolyMap.identity(field.n, field.mode).coords)
-    alpha_pow = MultiPoly.const(field.n, 1, field.mode)
-    for i in range(1, imax + 1):
-        alpha_pow = alpha_pow.mul_trunc(alpha, k)
-        if alpha_pow.is_zero():
-            break
-        inv_fact = _inv_factorial(i, field.mode)
-        for j in range(field.n):
-            term = vs[i - 1].coords[j].mul_trunc(alpha_pow, k)
-            coords[j] = coords[j] + term.scale(inv_fact)
-    return PolyMap(coords, k)
+    if field.p == 1 and field.mode == EXACT and alpha.constant_term() != 0:
+        raise ValueError(
+            "p=1 with alpha(0) != 0 is not exactly computable; "
+            "normalize the input or use float mode")
+    return hatted_shift_jet(field, PolyMap.identity(field.n, field.mode, k), alpha, k)
 
 
 def hatted_shift_jet(field, h, beta, k):
@@ -213,35 +195,56 @@ def hatted_shift_jet(field, h, beta, k):
     return PolyMap(coords, k)
 
 
-def flow_time_jet(field, c, k, step=None):
-    """j^K of the time-c flow map, by RK4 on the jet-coefficient system.
+# flow_time_jet sums the Lie series directly while |s| * K * max|F| stays at
+# or below this radius; its terms then peak near index 16 and stay far from
+# float overflow.  Longer times are reached by squaring.
+_SERIES_RADIUS = 16.0
 
-    Float mode only: integrates d/dt J = j^K(F o J), J(0) = id, with
-    ceil(|c|/step) fixed steps.  The default step is 0.01 shrunk by the
-    field's largest coefficient magnitude, keeping the 4th-order error near
-    1e-9 beyond unit-scale fields.
+
+def _check_finite(coords, c):
+    if not all(math.isfinite(v) for p in coords for v in p.terms.values()):
+        raise ValueError(f"flow integration blew up before time {c}")
+
+
+def flow_time_jet(field, c, k):
+    """j^K of the time-c flow map, by scaling and squaring the Lie series.
+
+    Float mode only.  Phi_s, the flow of F at time s = c / 2^m, is the flow
+    of sF at time 1: x + sum w_i / i! over the flow coefficients w_i of sF.
+    m is the fewest halvings that bring |s| * K * max|F| to at most 16; the
+    group law Phi_2s = Phi_s o Phi_s is then applied m times.  The sum stops
+    at the first term past index |s| * K * max|F| whose coefficients all lie
+    below 2^-53 times the largest coefficient of the partial sum.
     """
     if field.mode != FLOAT:
         raise ValueError("flow_time_jet is available in float mode only")
     c = float(c)
-    n = field.n
-    current = PolyMap.identity(n, FLOAT, k)
-    if c == 0.0:
+    if not math.isfinite(c):
+        raise ValueError(f"flow time must be finite, got {c}")
+    rate = k * float(field.field.max_abs_coeff())
+    m = 0
+    while abs(math.ldexp(c, -m)) * rate > _SERIES_RADIUS:
+        m += 1
+    s = math.ldexp(c, -m)
+    current = PolyMap.identity(field.n, FLOAT, k)
+    scaled_coords = [p.scale(s) for p in field.field.coords]
+    if all(p.is_zero() for p in scaled_coords):
         return current
-    if step is None:
-        step = FLOW_STEP / max(1.0, float(field.field.max_abs_coeff()))
-    nsteps = max(1, math.ceil(abs(c) / step))
-    dt = c / nsteps
-    rhs = lambda jmap: compose(field.field, jmap, k)
-    for _ in range(nsteps):
-        k1 = rhs(current)
-        k2 = rhs(current + k1.scale(dt / 2))
-        k3 = rhs(current + k2.scale(dt / 2))
-        k4 = rhs(current + k3.scale(dt))
-        incr = k1 + k2.scale(2) + k3.scale(2) + k4
-        current = (current + incr.scale(dt / 6)).truncate(k)
-        if not all(math.isfinite(v) for p in current.coords for v in p.terms.values()):
-            raise ValueError(f"flow integration blew up before time {c}")
+    scaled = VectorFieldJet(PolyMap(scaled_coords))
+    coords = list(current.coords)
+    inv_fact = 1.0
+    for i in itertools.count(1):
+        inv_fact /= i
+        term = [p.scale(inv_fact) for p in scaled.flow_coeffs(i, k)[-1].coords]
+        coords = [a + b for a, b in zip(coords, term)]
+        _check_finite(coords, c)
+        if (i >= abs(s) * rate and max(float(p.max_abs_coeff()) for p in term)
+                <= 2.0 ** -53 * max(float(p.max_abs_coeff()) for p in coords)):
+            break
+    current = PolyMap(coords, k)
+    for _ in range(m):
+        current = compose(current, current, k)
+        _check_finite(current.coords, c)
     return current
 
 

@@ -74,17 +74,7 @@ class RatMatrix:
             cols = list(zip(*other.rows))
             return RatMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
                               for row in self.rows])
-        raise TypeError("use apply() for vectors")
-
-    def apply(self, vec):
-        """Matrix-vector product."""
-        vec = [_frac(x) for x in vec]
-        if len(vec) != self.n:
-            raise ValueError("size mismatch")
-        return [sum(a * b for a, b in zip(row, vec)) for row in self.rows]
-
-    def transpose(self):
-        return RatMatrix(list(zip(*self.rows)))
+        raise TypeError("RatMatrix @ needs another RatMatrix")
 
     def power(self, k):
         acc = RatMatrix.identity(self.n)

@@ -389,6 +389,11 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+def as_poly(p):
+    """The MultiPoly under p: p.poly for a HomogPoly, p itself otherwise."""
+    return p.poly if isinstance(p, HomogPoly) else p
+
+
 class HomogPoly:
     """A MultiPoly together with its declared homogeneity degree.
 
@@ -577,7 +582,7 @@ class Substituter:
     Builds mixed powers G_1^e1 * ... * G_n^en lazily, each from a predecessor
     by a single truncated multiplication, so repeated substitutions against
     the same inner map (e.g. all flow coefficients v_i composed with one h)
-    share the work.
+    share the work.  Substituting into the identity map is plain truncation.
     """
 
     def __init__(self, inner, k):
@@ -586,6 +591,7 @@ class Substituter:
         self.inner = inner
         self.k = k
         self.mode = inner.mode
+        self._identity = inner.coords == PolyMap.identity(inner.nvars, inner.mode).coords
         one = MultiPoly.const(inner.nvars, 1, inner.mode)
         self._cache = {(0,) * inner.ncoords: one}
         self._orders = [c.min_degree() for c in inner.coords]
@@ -606,6 +612,8 @@ class Substituter:
             raise ValueError("dimension mismatch in composition")
         if poly.mode != self.mode:
             raise ValueError("scalar-mode mismatch")
+        if self._identity:
+            return poly.truncate(self.k)
         acc = MultiPoly.zero(self.inner.nvars, self.mode)
         for mono, c in poly.terms.items():
             # Terms whose substituted order already exceeds k contribute nothing.
@@ -685,11 +693,10 @@ def _gcd_normalize(p):
 
 
 def _as_homog_poly(p):
-    if isinstance(p, HomogPoly):
-        return p.poly, p.degree
+    p = as_poly(p)
     if not p.is_homogeneous():
         raise ValueError("expected a homogeneous polynomial")
-    return p, max(p.degree(), 0)
+    return p
 
 
 def bivariate_homog_gcd(f, g):
@@ -700,8 +707,8 @@ def bivariate_homog_gcd(f, g):
     normalized to integer content 1 with a positive lexicographically-leading
     coefficient.
     """
-    pf, _ = _as_homog_poly(f)
-    pg, _ = _as_homog_poly(g)
+    pf = _as_homog_poly(f)
+    pg = _as_homog_poly(g)
     _check_pair(pf, pg)
     if pf.nvars != 2:
         raise ValueError("bivariate GCD needs exactly two variables")

@@ -17,8 +17,8 @@ from . import config
 from .errors import InconsistentJetError, NotOnSubgroupError
 from .jet import hatted_shift_jet
 from .linalg import RatMatrix, solve_exact
-from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, mono_mul,
-                   monomials_of_degree)
+from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, as_poly,
+                   mono_mul, monomials_of_degree)
 
 
 @dataclass
@@ -33,7 +33,7 @@ class RecoveryResult:
 def _coord_polys(v):
     if isinstance(v, PolyMap):
         return list(v.coords)
-    return [q.poly if isinstance(q, HomogPoly) else q for q in v]
+    return [as_poly(q) for q in v]
 
 
 def divide_by_initial_part(v, p_vec, l=None, tol=None):
@@ -113,13 +113,6 @@ def divide_by_initial_part(v, p_vec, l=None, tol=None):
 def _as_float_rows(m):
     if isinstance(m, RatMatrix):
         return m.to_floats()
-    try:
-        import numpy as np
-
-        if isinstance(m, np.ndarray):
-            return m.tolist()
-    except ImportError:  # pragma: no cover
-        pass
     return [[float(x) for x in row] for row in m]
 
 
@@ -148,25 +141,19 @@ def delta0_linear(a, l_mat, tol=None, window=None, scan_step=0.01):
 
     nsteps = int(round(window / scan_step))
     with np.errstate(over="ignore", invalid="ignore"):
-        e_plus = expm(l_arr * scan_step)
-        e_minus = expm(-l_arr * scan_step)
-        ts = [0.0]
-        vals = [value(0.0)]
-        cur = np.eye(len(l_arr))
-        for i in range(1, nsteps + 1):
-            cur = cur @ e_plus
-            d = cur - a_mat
-            ts.append(i * scan_step)
-            vals.append(float(np.sum(d * d)))
-        cur = np.eye(len(l_arr))
-        neg_ts, neg_vals = [], []
-        for i in range(1, nsteps + 1):
-            cur = cur @ e_minus
-            d = cur - a_mat
-            neg_ts.append(-i * scan_step)
-            neg_vals.append(float(np.sum(d * d)))
-        ts = neg_ts[::-1] + ts
-        vals = neg_vals[::-1] + vals
+        sides = []
+        for step_mat, sign in ((expm(l_arr * scan_step), 1), (expm(-l_arr * scan_step), -1)):
+            side_ts, side_vals = [], []
+            cur = np.eye(len(l_arr))
+            for i in range(1, nsteps + 1):
+                cur = cur @ step_mat
+                d = cur - a_mat
+                side_ts.append(sign * i * scan_step)
+                side_vals.append(float(np.sum(d * d)))
+            sides.append((side_ts, side_vals))
+        (pos_ts, pos_vals), (neg_ts, neg_vals) = sides
+        ts = neg_ts[::-1] + [0.0] + pos_ts
+        vals = neg_vals[::-1] + [value(0.0)] + pos_vals
 
     candidates = []
     for i in range(1, len(ts) - 1):
@@ -282,7 +269,7 @@ def verify_residual(field, h, omegas, k, tol=None):
     """True iff j^K(x -> Phi(h(x), -sum omega_l(x))) is the identity jet."""
     sigma = MultiPoly.zero(field.n, field.mode)
     for omega in omegas:
-        sigma = sigma + (omega.poly if isinstance(omega, HomogPoly) else omega)
+        sigma = sigma + as_poly(omega)
     mapped = hatted_shift_jet(field, h.truncate(k), -sigma, k)
     if field.mode == EXACT:
         return mapped == PolyMap.identity(field.n, EXACT, k)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap
+from .poly import EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, as_poly
 
 
 def _term_to_json(mono, coeff):
@@ -20,9 +20,7 @@ def _term_to_json(mono, coeff):
 
 
 def poly_to_json(p):
-    if isinstance(p, HomogPoly):
-        p = p.poly
-    return [_term_to_json(m, c) for m, c in p.sorted_terms()]
+    return [_term_to_json(m, c) for m, c in as_poly(p).sorted_terms()]
 
 
 def poly_from_json(entries, nvars, mode=EXACT):

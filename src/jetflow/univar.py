@@ -42,24 +42,6 @@ def sub(p, q):
     return add(p, neg(q))
 
 
-def mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return normalize(out)
-
-
-def scale(p, c):
-    if c == 0:
-        return []
-    return [a * c for a in p]
-
-
 def divmod_exact(p, d):
     """Quotient and remainder of p by d over the rationals."""
     if not d:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,20 @@ def test_cli_error_envelope(capsys):
     assert code == 3
     assert doc["ok"] is False
     assert doc["error"]["kind"] == "NoSuchFactor"
+
+
+def test_cli_long_float_flow_ends_in_envelope(capsys):
+    # the time-10^6 flow of x' = x + y^2 overflows: reported quickly, not
+    # integrated step by step
+    start = time.perf_counter()
+    code = run(["shift-jet", "--float", "-F", "x+y^2, -y", "-a", "1000000",
+                "-K", "4", "--json"])
+    elapsed = time.perf_counter() - start
+    doc = json.loads(capsys.readouterr().out)
+    assert elapsed < 5.0
+    assert code == 1
+    assert doc["ok"] is False
+    assert "blew up" in doc["error"]["detail"]
 
 
 def test_cli_inconsistent_carries_order(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -153,7 +154,55 @@ def test_flow_time_jet_overflow_reported():
     u = MultiPoly.variable(1, 0, FLOAT)
     field = VectorFieldJet(PolyMap([u.scale(100.0)]))
     with pytest.raises(ValueError, match="blew up"):
-        flow_time_jet(field, 10.0, 2, step=0.01)
+        flow_time_jet(field, 10.0, 2)
+
+
+def _lie_series_reference(field, c, k):
+    """x + sum v_i c^i / i! in exact arithmetic, summed until the terms vanish."""
+    c = Fraction(c)
+    total = [dict(p.terms) for p in PolyMap.identity(field.n, EXACT, k).coords]
+    for i in itertools.count(1):
+        factor = c ** i / math.factorial(i)
+        size = 0.0
+        for acc, coord in zip(total, field.flow_coeffs(i, k)[-1].coords):
+            for mono, a in coord.terms.items():
+                acc[mono] = acc.get(mono, 0) + a * factor
+                size = max(size, abs(float(a * factor)))
+        largest = max(abs(float(a)) for acc in total for a in acc.values())
+        if size <= 1e-30 * largest:
+            return total
+
+
+def test_flow_time_jet_matches_exact_lie_series():
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    exact = VectorFieldJet(PolyMap([x.scale(-4) + y * y, y.scale(3) + x * y]))
+    for c in (0.5, 1.0):
+        ref = _lie_series_reference(exact, c, 8)
+        scale = max(abs(float(a)) for acc in ref for a in acc.values())
+        # the field slowed down 1000 times reaches the same map at 1000 c
+        for slow in (1.0, 1e-3):
+            field = VectorFieldJet(exact.field.to_float().scale(slow))
+            got = flow_time_jet(field, c / slow, 8)
+            for acc, coord in zip(ref, got.coords):
+                for mono in set(acc) | set(coord.terms):
+                    err = abs(float(acc.get(mono, 0)) - coord.coefficient(mono))
+                    assert err <= 1e-10 * scale, (c, slow, mono)
+
+
+def test_flow_time_jet_closed_form():
+    # x' = -x + y^2, y' = -2y flows to
+    # (e^-c x + (e^-c - e^-4c)/3 y^2, e^-2c y); c = 3 takes one squaring.
+    x = MultiPoly.variable(2, 0, FLOAT)
+    y = MultiPoly.variable(2, 1, FLOAT)
+    field = VectorFieldJet(PolyMap([-x + y * y, y.scale(-2.0)]))
+    c = 3.0
+    out = flow_time_jet(field, c, 3)
+    want = [{(1, 0): math.exp(-c), (0, 2): (math.exp(-c) - math.exp(-4 * c)) / 3},
+            {(0, 1): math.exp(-2 * c)}]
+    for terms, coord in zip(want, out.coords):
+        for mono in set(terms) | set(coord.terms):
+            assert abs(coord.coefficient(mono) - terms.get(mono, 0.0)) < 1e-14, mono
 
 
 def test_jet_inverse_examples():

@@ -131,6 +131,25 @@ def test_recover_round_trip_three_variables():
     assert verify_residual(field, h, res.omegas, 6)
 
 
+def test_recover_float_p1_rotation_with_quadratic_terms():
+    # rotation linear part plus one quadratic term per coordinate, t0 near 1:
+    # the time-t0 flow jet must be accurate well inside the 1e-8 residual
+    # tolerance at every order up to K = 8
+    x = MultiPoly.variable(2, 0, FLOAT)
+    y = MultiPoly.variable(2, 1, FLOAT)
+    field = VectorFieldJet(PolyMap([y.scale(-0.72) - (x * x).scale(0.5),
+                                    x.scale(0.72) - y * y]))
+    alpha = MultiPoly.const(2, 0.96, FLOAT) + x + y.scale(0.5)
+    res = recover_shift_jet(field, shift_jet(field, alpha, 8), 8)
+    assert res.residual_ok
+    assert abs(res.omegas[0].poly.constant_term() - 0.96) < 1e-6
+    w1 = res.omegas[1].poly
+    assert abs(w1.coefficient((1, 0)) - 1.0) < 1e-6
+    assert abs(w1.coefficient((0, 1)) - 0.5) < 1e-6
+    for omega in res.omegas[2:]:
+        assert float(omega.poly.max_abs_coeff()) < 1e-6
+
+
 def test_recover_float_p1_circle_subgroup():
     # rotation generator: {e^{Lt}} is a circle; recovery picks the small branch
     rows = [[0.0, -1.0], [1.0, 0.0]]
