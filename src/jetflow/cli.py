@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 from fractions import Fraction
@@ -361,8 +362,12 @@ def _emit(args, command, result=None, error=None, lines=()):
             print(f"error ({error['kind']}): {error['detail']}", file=sys.stderr)
 
 
-def run(argv):
-    """Execute one command line; returns the process exit code."""
+def run(argv, _batches=()):
+    """Execute one command line; returns the process exit code.
+
+    ``_batches`` holds the real paths of the batch files whose lines are
+    running, so a batch file that runs itself is refused, not recursed into.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -371,6 +376,10 @@ def run(argv):
         return 1
 
     if args.batch:
+        path = os.path.realpath(args.batch)
+        if path in _batches:
+            print(f"usage error: batch file {args.batch} runs itself", file=sys.stderr)
+            return 1
         code = 0
         try:
             with open(args.batch, "r", encoding="utf-8") as fh:
@@ -381,7 +390,7 @@ def run(argv):
         for line in lines:
             if not line or line.startswith("#"):
                 continue
-            sub_code = run(shlex.split(line))
+            sub_code = run(shlex.split(line), _batches + (path,))
             if code == 0:
                 code = sub_code
         return code

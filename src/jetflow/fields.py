@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt
+from math import isqrt
 
 from . import univar
 from .errors import NoSuchFactorError, NotDivisibleError
@@ -77,16 +77,6 @@ def cross_product_field(funcs):
     return PolyMap(coords)
 
 
-def _frac_gcd(a, b):
-    """GCD of two nonnegative rationals (gcd of numerators over lcm of denominators)."""
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    num = int_gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
-
-
 def reduced_hamiltonian(g):
     """(D, F): the GCD of the partials of a planar homogeneous g, and the
     reduced Hamiltonian field (-g_y/D, g_x/D) normalized to pair content 1.
@@ -105,8 +95,7 @@ def reduced_hamiltonian(g):
     d = bivariate_homog_gcd(gx, gy)
     a = divide_exact(gx, d.poly)
     b = divide_exact(gy, d.poly)
-    content = _frac_gcd(a.content(), b.content())
-    inv = 1 / content
+    inv = 1 / univar.content([*a.terms.values(), *b.terms.values()])
     return d, PolyMap([(-b).scale(inv), a.scale(inv)])
 
 
@@ -120,12 +109,9 @@ def check_star(vf):
     if vf.n >= 3:
         return StarReport(vf.p, p_vec, "unknown")
     if vf.n == 1:
-        coord = p_vec[0].poly
-        mono_ord = coord.min_degree()
-        if mono_ord >= 1:
-            witness = MultiPoly(1, {(int(mono_ord),): 1}, EXACT)
-            return StarReport(vf.p, p_vec, "no", HomogPoly(witness, int(mono_ord)))
-        return StarReport(vf.p, p_vec, "yes")
+        # P = c x^p with p >= 1, so x^p is a common factor.
+        witness = MultiPoly(1, {(vf.p,): 1}, EXACT)
+        return StarReport(vf.p, p_vec, "no", HomogPoly(witness, vf.p))
     nonzero = [q for q in p_vec if not q.is_zero()]
     gcd = bivariate_homog_gcd(nonzero[0], nonzero[0])
     for q in nonzero[1:]:
@@ -298,17 +284,18 @@ def binary_form_profile(g):
         coeffs[mono[1]] += c
     u = univar.normalize(coeffs)
 
-    sf = univar.squarefree_part(u)
-    real_roots = univar.count_real_roots(sf)
-    l = real_roots + (1 if x_mult >= 1 else 0)
-    q, parity = divmod(univar.degree(sf) - real_roots, 2)
-    if parity:
-        raise RuntimeError("odd count of non-real roots; Sturm bookkeeping broke")
-
+    # The Yun factors are pairwise coprime and multiply to the squarefree
+    # part of u, so the distinct-root counts add up over them.
+    l = 1 if x_mult >= 1 else 0
+    q = 0
     mult = {}
     for k, factor in univar.squarefree_decomposition(u):
         lin = univar.count_real_roots(factor)
-        quad, _ = divmod(univar.degree(factor) - lin, 2)
+        quad, parity = divmod(univar.degree(factor) - lin, 2)
+        if parity:
+            raise RuntimeError("odd count of non-real roots; Sturm bookkeeping broke")
+        l += lin
+        q += quad
         if lin or quad:
             mult[k] = (lin, quad)
     if x_mult >= 1:

@@ -129,14 +129,6 @@ def bidegree_truncate(poly_map, split, xorder, torder):
     return PolyMap(coords)
 
 
-def _series_term_bound(p, ord_alpha, k):
-    """Largest summation index i with i*(p-1) + i*ord(alpha) <= k."""
-    denom = (p - 1) + ord_alpha
-    if denom <= 0:
-        raise ValueError("the shift series does not terminate (p=1 with constant part)")
-    return k // denom
-
-
 def shift_jet(field, alpha, k):
     """j^K of the shift map x -> Phi(x, alpha(x)), the hatted shift with h = id.
 
@@ -177,7 +169,8 @@ def hatted_shift_jet(field, h, beta, k):
         return hatted_shift_jet(field, base, beta - c, k)
     if beta.is_zero():
         return h.truncate(k)
-    imax = _series_term_bound(field.p, 0 if c != 0 else int(beta.min_degree()), k)
+    # Term i has order >= i*((p-1) + ord beta); p = 1 with beta(0) != 0 returned above.
+    imax = k // (field.p - 1 + int(beta.min_degree()))
     vs = field.flow_coeffs(imax, k) if imax >= 1 else []
     sub = Substituter(h, k)
     coords = [coord.truncate(k) for coord in h.coords]

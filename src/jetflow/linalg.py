@@ -54,18 +54,6 @@ class RatMatrix:
     def is_zero(self):
         return all(x == 0 for row in self.rows for x in row)
 
-    def __add__(self, other):
-        return RatMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return RatMatrix([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
-
-    def scale(self, c):
-        c = _frac(c)
-        return RatMatrix([[c * x for x in row] for row in self.rows])
-
     def __matmul__(self, other):
         if isinstance(other, RatMatrix):
             n = self.n
@@ -110,21 +98,11 @@ class RatMatrix:
 
     def inverse(self):
         n = self.n
-        work = [list(row) + [Fraction(i == j) for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [x * inv for x in work[col]]
-            for r in range(n):
-                if r == col or work[r][col] == 0:
-                    continue
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return RatMatrix([row[n:] for row in work])
+        red, pivots = rref([list(row) + [Fraction(i == j) for j in range(n)]
+                            for i, row in enumerate(self.rows)])
+        if pivots[:n] != list(range(n)):
+            raise ValueError("matrix is singular")
+        return RatMatrix([row[n:] for row in red])
 
     def to_floats(self):
         return [[float(x) for x in row] for row in self.rows]
@@ -159,13 +137,6 @@ def rref(rows):
 
 def nullspace(rows, ncols):
     """Canonical basis of {x : rows @ x = 0} for a rectangular system."""
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]

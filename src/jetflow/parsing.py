@@ -61,11 +61,7 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             self.skip_ws()
-            exp = self.nat()
-            result = MultiPoly.const(self.nvars, 1)
-            for _ in range(exp):
-                result = result * base
-            return result
+            return base ** self.nat()
         return base
 
     def base(self):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd as int_gcd
 
 from . import univar
 from .config import FLOAT_DROP_TOL
@@ -44,7 +43,10 @@ def _coerce(value, mode):
         raise ValueError(f"exact mode cannot hold a {type(value).__name__} coefficient")
     if mode == FLOAT:
         if isinstance(value, (int, float, Fraction)):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValueError("coefficient too large for float mode") from None
         raise ValueError(f"float mode cannot hold a {type(value).__name__} coefficient")
     raise ValueError(f"unknown scalar mode {mode!r}")
 
@@ -91,14 +93,8 @@ class MultiPoly:
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
             c = _coerce(coeff, mode)
-            if c == 0:
-                continue
-            if mono in clean:
-                c = clean[mono] + c
-                if c == 0:
-                    del clean[mono]
-                    continue
-            clean[mono] = c
+            if c != 0:
+                clean[mono] = c
         self.nvars = nvars
         self.mode = mode
         self.terms = clean
@@ -268,13 +264,12 @@ class MultiPoly:
 
     # -- jets --------------------------------------------------------------
 
-    def truncate(self, k, drop_tol=None):
+    def truncate(self, k):
         """Drop all terms of total degree > k (and tiny float coefficients)."""
-        tol = FLOAT_DROP_TOL if drop_tol is None else drop_tol
         if self.mode == FLOAT:
-            # `not (abs(c) <= tol)` keeps NaN coefficients visible to callers.
+            # `not ... <=` rather than `>` keeps NaN coefficients visible to callers.
             out = {m: c for m, c in self.terms.items()
-                   if mono_deg(m) <= k and not abs(c) <= tol}
+                   if mono_deg(m) <= k and not abs(c) <= FLOAT_DROP_TOL}
         else:
             out = {m: c for m, c in self.terms.items() if mono_deg(m) <= k}
         return MultiPoly._raw(self.nvars, out, self.mode)
@@ -333,20 +328,13 @@ class MultiPoly:
     def to_float(self):
         if self.mode == FLOAT:
             return self
-        return MultiPoly(self.nvars, {m: float(c) for m, c in self.terms.items()}, FLOAT)
+        return MultiPoly(self.nvars, self.terms, FLOAT)
 
     def content(self):
         """Positive rational c such that self/c has coprime integer coefficients."""
         if self.mode != EXACT:
             raise ValueError("content is defined in exact mode only")
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, abs(c.numerator))
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        return Fraction(num, den)
+        return univar.content(self.terms.values())
 
     # -- display -------------------------------------------------------------
 
@@ -414,19 +402,8 @@ class HomogPoly:
     def zero(cls, nvars, degree, mode=EXACT):
         return cls(MultiPoly.zero(nvars, mode), degree)
 
-    @property
-    def nvars(self):
-        return self.poly.nvars
-
-    @property
-    def mode(self):
-        return self.poly.mode
-
     def is_zero(self):
         return self.poly.is_zero()
-
-    def evaluate(self, point):
-        return self.poly.evaluate(point)
 
     def __eq__(self, other):
         return (isinstance(other, HomogPoly) and self.degree == other.degree
@@ -476,10 +453,6 @@ class PolyMap:
     @classmethod
     def identity(cls, nvars, mode=EXACT, trunc=None):
         return cls([MultiPoly.variable(nvars, i, mode) for i in range(nvars)], trunc)
-
-    @classmethod
-    def zero(cls, nvars, ncoords, mode=EXACT, trunc=None):
-        return cls([MultiPoly.zero(nvars, mode) for _ in range(ncoords)], trunc)
 
     @classmethod
     def linear(cls, matrix_rows, mode=EXACT, trunc=None):
@@ -539,16 +512,12 @@ class PolyMap:
         return max((p.max_abs_coeff() for p in self.coords),
                    default=_coerce(0, self.mode))
 
-    def is_identity(self, k=None, tol=None):
-        """Whether this map is the identity jet (to order k, within tol in float mode)."""
-        ident = PolyMap.identity(self.nvars, self.mode)
-        diff = self - ident
+    def is_identity(self, k=None, tol=0):
+        """Whether this map is the identity jet to order k, coefficientwise within tol."""
+        diff = self - PolyMap.identity(self.nvars, self.mode)
         if k is not None:
             diff = diff.truncate(k)
-        if self.mode == EXACT:
-            return all(p.is_zero() for p in diff.coords)
-        bound = 0.0 if tol is None else tol
-        return float(diff.max_abs_coeff()) <= bound
+        return diff.max_abs_coeff() <= tol
 
     def to_float(self):
         if self.mode == FLOAT:
@@ -664,15 +633,9 @@ def divide_exact(f, d):
 
 
 def _strip_common_monomial(f, g):
-    """Largest monomial dividing both; returns (mono, f/mono, g/mono)."""
+    """Largest monomial dividing both nonzero f and g; returns (mono, f/mono, g/mono)."""
     n = f.nvars
-    mins = []
-    for i in range(n):
-        mf = min((m[i] for m in f.terms), default=0) if not f.is_zero() else None
-        mg = min((m[i] for m in g.terms), default=0) if not g.is_zero() else None
-        lows = [v for v in (mf, mg) if v is not None]
-        mins.append(min(lows) if lows else 0)
-    mono = tuple(mins)
+    mono = tuple(min(m[i] for m in (*f.terms, *g.terms)) for i in range(n))
     if all(e == 0 for e in mono):
         return mono, f, g
     shift = lambda p: MultiPoly(n, {tuple(a - b for a, b in zip(m, mono)): c

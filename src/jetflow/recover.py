@@ -11,7 +11,6 @@ time -omega_l.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import config
 from .errors import InconsistentJetError, NotOnSubgroupError
@@ -65,14 +64,13 @@ def divide_by_initial_part(v, p_vec, l=None, tol=None):
     unknowns = monomials_of_degree(nvars, l)
     targets = monomials_of_degree(nvars, p_deg + l)
     target_index = {m: i for i, m in enumerate(targets)}
-    zero = Fraction(0) if mode == EXACT else 0.0
 
     rows = []
     rhs = []
     for p_i, v_i in zip(p_polys, v_polys):
         if not v_i.is_homogeneous(p_deg + l) and not v_i.is_zero():
             raise ValueError(f"v must be homogeneous of degree {p_deg + l}")
-        block = [[zero] * len(unknowns) for _ in targets]
+        block = [[0] * len(unknowns) for _ in targets]
         for mono_p, c in p_i.terms.items():
             for u_idx, mono_u in enumerate(unknowns):
                 block[target_index[mono_mul(mono_p, mono_u)]][u_idx] += c
@@ -116,11 +114,15 @@ def _as_float_rows(m):
     return [[float(x) for x in row] for row in m]
 
 
-def delta0_linear(a, l_mat, tol=None, window=None, scan_step=0.01):
+# Step of the coarse scan over the search window.
+_SCAN_STEP = 0.01
+
+
+def delta0_linear(a, l_mat, tol=None):
     """Time t with ||e^{Lt} - A||_F <= tol, preferring the smallest |t|.
 
-    Coarse scan over [-window, window] (iterated multiplication by the step
-    matrix), then 1-D Newton on t -> ||e^{Lt} - A||_F^2 at each candidate
+    Coarse scan over |t| <= config.DELTA0_WINDOW in steps of 0.01 (iterated
+    multiplication by the step matrix), then 1-D Newton on t -> ||e^{Lt} - A||_F^2 at each candidate
     local minimum in order of increasing |t|.  Raises NotOnSubgroupError when
     no candidate reaches the tolerance.
     """
@@ -132,23 +134,23 @@ def delta0_linear(a, l_mat, tol=None, window=None, scan_step=0.01):
     if not np.any(l_arr):
         raise ValueError("L must be nonzero")
     tol = config.delta0_tol(tol)
-    window = config.DELTA0_WINDOW if window is None else window
+    window = config.DELTA0_WINDOW
 
     def value(t):
         e = expm(l_arr * t)
         d = e - a_mat
         return float(np.sum(d * d))
 
-    nsteps = int(round(window / scan_step))
+    nsteps = int(round(window / _SCAN_STEP))
     with np.errstate(over="ignore", invalid="ignore"):
         sides = []
-        for step_mat, sign in ((expm(l_arr * scan_step), 1), (expm(-l_arr * scan_step), -1)):
+        for step_mat, sign in ((expm(l_arr * _SCAN_STEP), 1), (expm(-l_arr * _SCAN_STEP), -1)):
             side_ts, side_vals = [], []
             cur = np.eye(len(l_arr))
             for i in range(1, nsteps + 1):
                 cur = cur @ step_mat
                 d = cur - a_mat
-                side_ts.append(sign * i * scan_step)
+                side_ts.append(sign * i * _SCAN_STEP)
                 side_vals.append(float(np.sum(d * d)))
             sides.append((side_ts, side_vals))
         (pos_ts, pos_vals), (neg_ts, neg_vals) = sides
@@ -178,23 +180,18 @@ def delta0_linear(a, l_mat, tol=None, window=None, scan_step=0.01):
             t += step
             if abs(step) < 1e-15 * max(1.0, abs(t)):
                 break
-        if abs(t) <= window + scan_step and value(t) <= tol * tol:
+        if abs(t) <= window + _SCAN_STEP and value(t) <= tol * tol:
             return t
     raise NotOnSubgroupError(
         f"no t with |t| <= {window} puts e^(Lt) within {tol} of the target matrix")
 
 
-def _low_order_junk(diff, upto, mode, bound):
-    """First order 1..upto where diff has a (non-negligible) slice, else None."""
+def _low_order_junk(diff, upto, bound):
+    """First order 1..upto where diff has a slice with a coefficient above bound, else None."""
     for deg in range(1, upto + 1):
         parts = [c.homogeneous_part(deg) for c in diff.coords]
-        if mode == EXACT:
-            if any(not q.is_zero() for q in parts):
-                return deg, parts
-        else:
-            worst = max(float(q.poly.max_abs_coeff()) for q in parts)
-            if worst > bound:
-                return deg, parts
+        if max(q.poly.max_abs_coeff() for q in parts) > bound:
+            return deg, parts
     return None
 
 
@@ -221,7 +218,7 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
         raise ValueError("h must fix the origin")
 
     ident = PolyMap.identity(n, mode)
-    float_bound = config.residual_tol(tol) if mode == FLOAT else None
+    bound = config.residual_tol(tol) if mode == FLOAT else 0
     hl = h.truncate(k)
     omegas = []
 
@@ -236,7 +233,7 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
             t = delta0_linear(hl.linear_part(), field.L, tol=delta0_tol)
             omegas.append(HomogPoly(MultiPoly.const(n, t, FLOAT), 0))
     else:
-        junk = _low_order_junk(hl - ident, p - 1, mode, float_bound)
+        junk = _low_order_junk(hl - ident, p - 1, bound)
         if junk is not None:
             raise InconsistentJetError(
                 f"jet differs from the identity below the flat order (degree {junk[0]})",
@@ -250,7 +247,7 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
         if l == lmax:
             break
         diff = hl - ident
-        junk = _low_order_junk(diff, p + l, mode, float_bound)
+        junk = _low_order_junk(diff, p + l, bound)
         if junk is not None:
             raise InconsistentJetError(
                 f"after removing omega_{l}, the jet still differs from the identity "
@@ -258,11 +255,7 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
         v = [c.homogeneous_part(p + l + 1) for c in diff.coords]
         omegas.append(divide_by_initial_part(v, field.P, l + 1, tol))
 
-    if mode == EXACT:
-        residual_ok = hl == ident.truncate(k)
-    else:
-        residual_ok = hl.is_identity(k, tol=config.residual_tol(tol))
-    return RecoveryResult(omegas, residual_ok, mode)
+    return RecoveryResult(omegas, hl.is_identity(k, tol=bound), mode)
 
 
 def verify_residual(field, h, omegas, k, tol=None):
@@ -271,6 +264,5 @@ def verify_residual(field, h, omegas, k, tol=None):
     for omega in omegas:
         sigma = sigma + as_poly(omega)
     mapped = hatted_shift_jet(field, h.truncate(k), -sigma, k)
-    if field.mode == EXACT:
-        return mapped == PolyMap.identity(field.n, EXACT, k)
-    return mapped.is_identity(k, tol=config.residual_tol(tol))
+    bound = config.residual_tol(tol) if field.mode == FLOAT else 0
+    return mapped.is_identity(k, tol=bound)

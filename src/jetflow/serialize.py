@@ -55,6 +55,8 @@ def jets_to_json(omegas, nvars):
 
 
 def jets_from_json(data):
+    if not isinstance(data, dict) or "nvars" not in data or "omegas" not in data:
+        raise ValueError('a jets document is an object with "nvars" and "omegas"')
     nvars = int(data["nvars"])
     omegas = []
     for i, entries in enumerate(data["omegas"]):

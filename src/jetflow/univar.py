@@ -3,13 +3,15 @@
 A polynomial is a list of Fraction coefficients, index = power, with no
 trailing zeros (the zero polynomial is the empty list).  These helpers back
 the bivariate homogeneous GCD (via dehomogenization), Sturm-sequence real
-root counting, and Yun's squarefree decomposition.
+root counting, and Yun's squarefree decomposition.  ``content`` is the one
+rational content (gcd of numerators over lcm of denominators) for
+polynomials of any number of variables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 
 def normalize(coeffs):
@@ -143,16 +145,6 @@ def count_real_roots(p, lo=None, hi=None):
     return va - vb
 
 
-def squarefree_part(p):
-    """p divided by gcd(p, p')."""
-    p = normalize(p)
-    if degree(p) <= 0:
-        return monic(p)
-    g = gcd(p, derivative(p))
-    q, _ = divmod_exact(p, g)
-    return monic(q)
-
-
 def squarefree_decomposition(p):
     """Yun's algorithm: list of (multiplicity, monic factor of that multiplicity)."""
     p = normalize(p)
@@ -175,19 +167,26 @@ def squarefree_decomposition(p):
     return out
 
 
+def content(values):
+    """Positive rational c with values / c coprime integers; 0 when all are 0.
+
+    For reduced fractions that is the gcd of the numerators over the lcm of
+    the denominators.
+    """
+    num, den = 0, 1
+    for c in values:
+        num = int_gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
 def integerize(p):
     """Scale p by a positive rational so coefficients are coprime integers."""
     p = normalize(p)
     if not p:
         return []
-    denom_lcm = 1
-    for c in p:
-        denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, abs(v))
-    return [v // g for v in ints]
+    c = content(p)
+    return [int(v / c) for v in p]
 
 
 def _divisors(n):

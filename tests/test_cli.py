@@ -155,6 +155,15 @@ def test_cli_long_float_flow_ends_in_envelope(capsys):
     assert "blew up" in doc["error"]["detail"]
 
 
+def test_cli_float_overflow_ends_in_envelope(capsys):
+    # 10^400 has no float value: a usage error, not an OverflowError traceback
+    code = run(["shift-jet", "--float", "-F", "x^2", "-a", "10^400", "-K", "3", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["ok"] is False
+    assert doc["error"]["kind"] == "Usage"
+
+
 def test_cli_inconsistent_carries_order(capsys):
     code = run(["recover", "-F", "-3*x^2*y-4*y^3, 2*x^3+3*x*y^2",
                 "-h", "x + x^5, y", "-K", "6", "--json"])
@@ -206,6 +215,17 @@ def test_cli_borel(tmp_path, capsys):
         assert abs(coeffs[key] - want) < 1e-6
 
 
+def test_cli_borel_jets_missing_keys(tmp_path, capsys):
+    for doc in ({"nvars": 1}, {"omegas": []}, [1, 2]):
+        path = tmp_path / "jets.json"
+        path.write_text(json.dumps(doc))
+        code = run(["borel", "--jets", str(path), "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["error"]["kind"] == "Usage"
+        assert "omegas" in out["error"]["detail"]
+
+
 def test_cli_json_operand_round_trip(tmp_path, capsys):
     # a float map produced by shift-jet --json feeds back into recover via @file
     code = run(["shift-jet", "-F", "-4*x, 3*y", "-a", "1/4 + x^2", "-K", "5",
@@ -231,6 +251,20 @@ def test_cli_batch(tmp_path, capsys):
     assert code == 0
     assert "D = x^2*y^3" in out
     assert "nondivisible = yes" in out
+
+
+def test_cli_batch_running_itself(tmp_path, capsys):
+    # directly, and through a second batch file; the other lines still run
+    first = tmp_path / "first.txt"
+    second = tmp_path / "second.txt"
+    first.write_text(f'reduce-ham -g "x^3*y^4"\n--batch {first}\n--batch {second}\n')
+    second.write_text(f'--batch {first}\ncheck-star -F "-4*x, 3*y"\n')
+    code = run(["--batch", str(first)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.count("D = x^2*y^3") == 1
+    assert captured.out.count("nondivisible = yes") == 1
+    assert captured.err.count(f"batch file {first} runs itself") == 2
 
 
 def test_float_tol_env_override(monkeypatch):

@@ -93,6 +93,14 @@ def test_check_star_examples(xy):
     assert report3.nondivisible == "unknown"
 
 
+def test_check_star_one_variable():
+    # in one variable P = c*x^p, so x^p always divides it
+    u = MultiPoly.variable(1, 0)
+    report = check_star(VectorFieldJet(PolyMap([u ** 3])))
+    assert report.p == 3 and report.nondivisible == "no"
+    assert report.witness == HomogPoly(u ** 3, 3)
+
+
 def test_integral_representation_examples(xy):
     x, y = xy
     g = x ** 3 * y ** 4

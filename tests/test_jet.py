@@ -228,6 +228,19 @@ def test_jet_inverse_two_sided():
         assert compose(g, h, k) == ident.truncate(k)
 
 
+def test_jet_inverse_float():
+    rng = random.Random(6)
+    k = 5
+    ident = PolyMap.identity(2, FLOAT)
+    lin = PolyMap.linear([[1.5, 0.25], [-0.5, 2.0]], FLOAT)
+    pert = PolyMap([rand_poly(rng, 2, k, min_deg=2).to_float() for _ in range(2)])
+    h = lin + pert
+    g = jet_inverse(h, k)
+    assert (compose(h, g, k) - ident).truncate(k).max_abs_coeff() <= 1e-12
+    with pytest.raises(ValueError, match="singular"):
+        jet_inverse(PolyMap.linear([[1.0, 2.0], [0.5, 1.0]], FLOAT) + pert, k)
+
+
 def test_flow_law_bijet(quartic_field):
     n, k, order = 2, 6, 3
     bj = flow_bijet(quartic_field, order, k)
