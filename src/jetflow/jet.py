@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .linalg import RatMatrix
-from .poly import EXACT, FLOAT, MultiPoly, PolyMap, Substituter, compose
+from .poly import EXACT, FLOAT, MultiPoly, PolyMap, Substituter, combine_trunc, compose
 
 
 class VectorFieldJet:
@@ -56,12 +56,10 @@ class VectorFieldJet:
         vs = self._vcache.setdefault(k, [PolyMap(self.field.coords, k)])
         while len(vs) < imax:
             prev = vs[-1]
-            nxt = []
-            for coord in prev.coords:
-                acc = MultiPoly.zero(self.n, self.mode)
-                for j in range(self.n):
-                    acc = acc + coord.partial(j).mul_trunc(self.field.coords[j], k)
-                nxt.append(acc)
+            nxt = [combine_trunc(self.n, self.mode,
+                                 [(1, coord.partial(j).mul_trunc(f_j, k))
+                                  for j, f_j in enumerate(self.field.coords)], k)
+                   for coord in prev.coords]
             vs.append(PolyMap(nxt, k))
         return vs[:imax]
 
@@ -173,7 +171,8 @@ def hatted_shift_jet(field, h, beta, k):
     imax = k // (field.p - 1 + int(beta.min_degree()))
     vs = field.flow_coeffs(imax, k) if imax >= 1 else []
     sub = Substituter(h, k)
-    coords = [coord.truncate(k) for coord in h.coords]
+    # sums[j] lists the (c, poly) pairs whose sum c * poly is coordinate j.
+    sums = [[(1, coord.truncate(k))] for coord in h.coords]
     beta_pow = MultiPoly.const(field.n, 1, field.mode)
     for i in range(1, imax + 1):
         beta_pow = beta_pow.mul_trunc(beta, k)
@@ -184,8 +183,8 @@ def hatted_shift_jet(field, h, beta, k):
             if vs[i - 1].coords[j].is_zero():
                 continue
             term = sub.apply(vs[i - 1].coords[j]).mul_trunc(beta_pow, k)
-            coords[j] = coords[j] + term.scale(inv_fact)
-    return PolyMap(coords, k)
+            sums[j].append((inv_fact, term))
+    return PolyMap([combine_trunc(field.n, field.mode, pairs, k) for pairs in sums], k)
 
 
 # flow_time_jet sums the Lie series directly while |s| * K * max|F| stays at

@@ -9,13 +9,23 @@ Grammar:
 
 Expressions are expanded on the fly into canonical MultiPoly values over
 exact rationals (converted once at the end when float mode is requested).
-Errors carry the byte offset of the offending character.
+Errors carry the byte offset of the offending character.  Input past
+MAX_NESTING or MAX_EXPONENT is refused with a ParseError, so that no
+expression overflows the interpreter's stack or expands without end.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
 from .poly import EXACT, FLOAT, MultiPoly
+
+# Deepest run of nested '(' and unary '-' a base may open.  Each level
+# takes four Python frames (expr, term, factor, base), well inside the
+# interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
+
+# Largest exponent after '^'; a power is expanded by repeated products.
+MAX_EXPONENT = 1000
 
 
 class _Parser:
@@ -24,6 +34,7 @@ class _Parser:
         self.pos = 0
         self.vars = var_index
         self.nvars = len(var_index)
+        self.depth = 0
 
     def error(self, message):
         raise ParseError(message, self.pos)
@@ -61,20 +72,32 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             self.skip_ws()
-            return base ** self.nat()
+            start = self.pos
+            exponent = self.nat()
+            if exponent > MAX_EXPONENT:
+                self.pos = start
+                self.error(f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}")
+            return base ** exponent
         return base
 
     def base(self):
         ch = self.peek()
+        if ch in ("-", "(") and self.depth == MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
         if ch == "-":
             self.pos += 1
-            return -self.base()
+            self.depth += 1
+            inner = -self.base()
+            self.depth -= 1
+            return inner
         if ch == "(":
             self.pos += 1
+            self.depth += 1
             inner = self.expr()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return inner
         if ch.isdigit():
             return self.rational()

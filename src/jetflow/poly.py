@@ -6,13 +6,25 @@ two scalar modes never mix inside one computation.  PolyMap bundles m
 coordinate polynomials sharing the same variables and an optional truncation
 order K, and represents a K-jet of a map at the origin.
 
+Products (``*``, mul_trunc, pow_trunc, and through them composition) and the
+sums of scaled products in composition and in the flow series run on packed
+graded keys: each exponent tuple becomes one int with the total degree in its
+top field (Monagan and Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", CASC 2007), so that multiplying
+monomials is one integer addition and truncation one comparison.  Exact
+coefficients there are integer numerators over one common denominator per
+polynomial, so a Fraction is built once per output term.  ``.terms`` stays
+the tuple-keyed view; exact products build it on first access.
+
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 from . import univar
 from .config import FLOAT_DROP_TOL
@@ -70,6 +82,21 @@ def mono_deg(mono):
     return sum(mono)
 
 
+def _max_nan(values, default):
+    """max(values, default=default), except that any NaN makes the result NaN.
+
+    Plain max() returns NaN only when NaN comes first, because every
+    comparison with NaN is false.
+    """
+    best = default
+    for v in values:
+        if v != v:  # only NaN is unequal to itself
+            return v
+        if v > best:
+            best = v
+    return best
+
+
 def _check_pair(a, b):
     if a.nvars != b.nvars:
         raise ValueError(f"variable-count mismatch: {a.nvars} vs {b.nvars}")
@@ -80,7 +107,9 @@ def _check_pair(a, b):
 class MultiPoly:
     """Sparse polynomial in ``nvars`` variables over one scalar mode."""
 
-    __slots__ = ("nvars", "mode", "terms")
+    # Exact products are born packed (see _pack); their tuple-keyed terms
+    # are built on first access, so intermediate products never make one.
+    __slots__ = ("nvars", "mode", "_terms", "_packed")
 
     def __init__(self, nvars, terms=None, mode=EXACT):
         if nvars < 0:
@@ -97,7 +126,8 @@ class MultiPoly:
                 clean[mono] = c
         self.nvars = nvars
         self.mode = mode
-        self.terms = clean
+        self._terms = clean
+        self._packed = None
 
     # -- constructors ------------------------------------------------------
 
@@ -122,8 +152,19 @@ class MultiPoly:
         self = object.__new__(cls)
         self.nvars = nvars
         self.mode = mode
-        self.terms = terms
+        self._terms = terms
+        self._packed = None
         return self
+
+    @property
+    def terms(self):
+        """Dict from exponent tuples to nonzero coefficients (do not mutate)."""
+        terms = self._terms
+        if terms is None:
+            bits, keys, values, den = self._packed
+            self._terms = terms = dict(zip(_unpack_keys(self.nvars, bits, keys),
+                                           [Fraction(v, den) for v in values]))
+        return terms
 
     # -- basic queries -----------------------------------------------------
 
@@ -145,7 +186,8 @@ class MultiPoly:
         return self.terms.get(tuple(mono), _coerce(0, self.mode))
 
     def max_abs_coeff(self):
-        return max((abs(c) for c in self.terms.values()), default=_coerce(0, self.mode))
+        """Largest |coefficient|: 0 for the zero polynomial, NaN if any is NaN."""
+        return _max_nan(map(abs, self.terms.values()), _coerce(0, self.mode))
 
     def is_homogeneous(self, d=None):
         degs = set(map(mono_deg, self.terms))
@@ -205,51 +247,20 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
             return self.scale(other)
-        _check_pair(self, other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                s = out.get(mono)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return MultiPoly._raw(self.nvars, out, self.mode)
+        return _product(self, other, self.degree() + other.degree(), 0.0)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def mul_trunc(self, other, k):
         """Product truncated to total degree <= k (the jet product)."""
-        _check_pair(self, other)
-        items1 = sorted(((mono_deg(m), m, c) for m, c in self.terms.items()))
-        items2 = sorted(((mono_deg(m), m, c) for m, c in other.terms.items()))
-        out = {}
-        for d1, m1, c1 in items1:
-            if d1 > k:
-                break
-            for d2, m2, c2 in items2:
-                if d1 + d2 > k:
-                    break
-                mono = mono_mul(m1, m2)
-                s = out.get(mono)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        result = MultiPoly._raw(self.nvars, out, self.mode)
-        if self.mode == FLOAT:
-            result = result.truncate(k)
-        return result
+        return _product(self, other, k, FLOAT_DROP_TOL)
 
     def pow_trunc(self, e, k):
         """e-th power truncated to total degree <= k."""
         if e < 0:
             raise ValueError("negative exponent")
-        acc = MultiPoly.const(self.nvars, 1, self.mode)
+        acc = MultiPoly.const(self.nvars, 1, self.mode).truncate(k)
         for _ in range(e):
             acc = acc.mul_trunc(self, k)
         return acc
@@ -272,6 +283,8 @@ class MultiPoly:
                    if mono_deg(m) <= k and not abs(c) <= FLOAT_DROP_TOL}
         else:
             out = {m: c for m, c in self.terms.items() if mono_deg(m) <= k}
+        if len(out) == len(self.terms):
+            return self  # values are immutable; keeps the packed cache
         return MultiPoly._raw(self.nvars, out, self.mode)
 
     def homogeneous_part(self, d):
@@ -375,6 +388,136 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+def _pack(p, bits):
+    """p's terms in packed form: (bits, keys, values, denominator).
+
+    A packed key holds the total degree in its top field and the exponents
+    below it, ``bits`` bits each, first variable highest, so that adding keys
+    multiplies monomials and ascending keys are ascending (degree, exponent
+    tuple).  Terms of degree >= 2**bits do not fit and are left out.  The
+    keys list is sorted.  Exact values are integer numerators over the common
+    denominator (the lcm of the coefficients' denominators); float values
+    are the coefficients, over 1.  The result is cached on p, which is
+    immutable, for the last ``bits`` asked for.
+    """
+    packed = p._packed
+    if packed is not None and packed[0] == bits:
+        return packed
+    limit = 1 << bits
+    items = []
+    for mono, c in p.terms.items():
+        deg = sum(mono)
+        if deg < limit:
+            key = deg
+            for e in mono:
+                key = key << bits | e
+            items.append((key, c))
+    items.sort(key=itemgetter(0))
+    keys = [key for key, _ in items]
+    if p.mode == EXACT:
+        den = math.lcm(*(c.denominator for _, c in items))
+        values = [c.numerator * (den // c.denominator) for _, c in items]
+    else:
+        den = 1
+        values = [c for _, c in items]
+    p._packed = packed = (bits, keys, values, den)
+    return packed
+
+
+def _from_sums(n, mode, bits, sums, den, drop):
+    """The MultiPoly whose packed terms are ``sums``: key -> numerator over
+    den (exact) or key -> float.  Float values with |v| <= drop are left out
+    (NaN stays).  The sorted packed form is kept as the result's cache."""
+    if mode == EXACT:
+        keys = sorted(key for key, v in sums.items() if v)
+        values = [sums[key] for key in keys]
+        # Dividing out the gcd leaves den the lcm of the reduced
+        # coefficients' denominators, as _pack would compute it.
+        g = math.gcd(den, *values)
+        den //= g
+        values = [v // g for v in values]
+        terms = None
+    else:
+        # Float terms keep the order in which their sums first appeared.
+        items = [(key, v) for key, v in sums.items() if not abs(v) <= drop]
+        terms = dict(zip(_unpack_keys(n, bits, [key for key, _ in items]),
+                         [v for _, v in items]))
+        items.sort(key=itemgetter(0))
+        keys = [key for key, _ in items]
+        values = [v for _, v in items]
+    result = MultiPoly._raw(n, terms, mode)
+    result._packed = (bits, keys, values, den)
+    return result
+
+
+def _unpack_keys(n, bits, keys):
+    """Exponent tuples of packed keys (see _pack)."""
+    mask = (1 << bits) - 1
+    shifts = range((n - 1) * bits, -1, -bits)
+    return [tuple([key >> s & mask for s in shifts]) for key in keys]
+
+
+def _product(a, b, k, drop):
+    """The terms of a*b of total degree <= k (float terms with |c| <= drop
+    left out).
+
+    Runs on packed keys (see _pack): the inner loop stops at the first term
+    of b whose degree exceeds k minus the degree of a's term, and each term
+    pair costs one integer addition for the monomial and one multiplication
+    of integer numerators (exact) or floats.  Sums accumulate in ascending
+    (degree, exponent tuple) order of a's terms, then b's, so float results
+    do not depend on the dict order of the operands.
+    """
+    _check_pair(a, b)
+    n, mode = a.nvars, a.mode
+    if k < 0:
+        return MultiPoly._raw(n, {}, mode)
+    bits = k.bit_length() + 1
+    shift = n * bits
+    _, keys1, values1, den1 = _pack(a, bits)
+    _, keys2, values2, den2 = _pack(b, bits)
+    sums = {}
+    get = sums.get
+    for key1, v1 in zip(keys1, values1):
+        room = k - (key1 >> shift)
+        if room < 0:
+            break
+        cut = bisect_left(keys2, (room + 1) << shift)
+        for key2, v2 in zip(keys2[:cut], values2[:cut]):
+            key = key1 + key2
+            sums[key] = get(key, 0) + v1 * v2
+    return _from_sums(n, mode, bits, sums, den1 * den2, drop)
+
+
+def combine_trunc(n, mode, pairs, k):
+    """j^k of sum(c * p for c, p in pairs): one sum over all the terms, in a
+    dict of packed keys, in place of a chain of additions.
+
+    Exact sums run on integer numerators over one common denominator.  Float
+    sums accumulate in pair order and drop |c| <= FLOAT_DROP_TOL, as
+    truncating a chain of additions would.
+    """
+    if any(p.nvars != n or p.mode != mode for _, p in pairs):
+        raise ValueError(f"combine_trunc needs {mode} polynomials in {n} variables")
+    if k < 0:
+        return MultiPoly._raw(n, {}, mode)
+    bits = k.bit_length() + 1
+    limit = (k + 1) << (n * bits)
+    packs = [(c, _pack(p, bits)) for c, p in pairs]
+    if mode == EXACT:
+        den = math.lcm(*(c.denominator * d for c, (_, _, _, d) in packs))
+        packs = [(c.numerator * (den // (c.denominator * pack[3])), pack) for c, pack in packs]
+    else:
+        den = 1
+    sums = {}
+    get = sums.get
+    for c, (_, keys, values, _) in packs:
+        cut = bisect_left(keys, limit)
+        for key, v in zip(keys[:cut], values[:cut]):
+            sums[key] = get(key, 0) + c * v
+    return _from_sums(n, mode, bits, sums, den, FLOAT_DROP_TOL)
 
 
 def as_poly(p):
@@ -509,8 +652,8 @@ class PolyMap:
         return rows
 
     def max_abs_coeff(self):
-        return max((p.max_abs_coeff() for p in self.coords),
-                   default=_coerce(0, self.mode))
+        """Largest |coefficient| over all coordinates; NaN if any is NaN."""
+        return _max_nan((p.max_abs_coeff() for p in self.coords), _coerce(0, self.mode))
 
     def is_identity(self, k=None, tol=0):
         """Whether this map is the identity jet to order k, coefficientwise within tol."""
@@ -583,13 +726,10 @@ class Substituter:
             raise ValueError("scalar-mode mismatch")
         if self._identity:
             return poly.truncate(self.k)
-        acc = MultiPoly.zero(self.inner.nvars, self.mode)
-        for mono, c in poly.terms.items():
-            # Terms whose substituted order already exceeds k contribute nothing.
-            if sum(e * o for e, o in zip(mono, self._orders) if e) > self.k:
-                continue
-            acc = acc + self._power(mono).scale(c)
-        return acc.truncate(self.k)
+        # Terms whose substituted order already exceeds k contribute nothing.
+        pairs = [(c, self._power(mono)) for mono, c in poly.terms.items()
+                 if sum(e * o for e, o in zip(mono, self._orders) if e) <= self.k]
+        return combine_trunc(self.inner.nvars, self.mode, pairs, self.k)
 
 
 def compose(outer, inner, k):

@@ -99,7 +99,7 @@ def divide_by_initial_part(v, p_vec, l=None, tol=None):
     scale = float(np.max(np.abs(b))) if b.size else 0.0
     bound = config.residual_tol(tol) * max(1.0, scale)
     resid = float(np.max(np.abs(a @ sol - b))) if b.size else 0.0
-    if resid > bound:
+    if not resid <= bound:  # a NaN residual is refused too
         raise InconsistentJetError(
             f"jet slice of degree {p_deg + l} is not P * omega "
             f"(float residual {resid:.3e} > {bound:.3e})",
@@ -190,7 +190,8 @@ def _low_order_junk(diff, upto, bound):
     """First order 1..upto where diff has a slice with a coefficient above bound, else None."""
     for deg in range(1, upto + 1):
         parts = [c.homogeneous_part(deg) for c in diff.coords]
-        if max(q.poly.max_abs_coeff() for q in parts) > bound:
+        # `not ... <=` counts a NaN coefficient as junk.
+        if not PolyMap([q.poly for q in parts]).max_abs_coeff() <= bound:
             return deg, parts
     return None
 

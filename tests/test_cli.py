@@ -7,7 +7,7 @@ import pytest
 
 from jetflow.cli import run
 from jetflow.errors import ParseError
-from jetflow.parsing import parse_poly
+from jetflow.parsing import MAX_EXPONENT, MAX_NESTING, parse_poly
 from jetflow.poly import EXACT, FLOAT, MultiPoly, PolyMap
 from jetflow.serialize import (poly_from_json, poly_to_json, polymap_from_json,
                                polymap_to_json)
@@ -276,3 +276,26 @@ def test_float_tol_env_override(monkeypatch):
     monkeypatch.delenv("JETFLOW_FLOAT_TOL")
     assert config.residual_tol() == config.RESIDUAL_TOL
     assert config.residual_tol(1e-3) == 1e-3
+
+
+def test_cli_deep_nesting_is_a_parse_error(capsys):
+    depth = 3000
+    code = run(["profile", "-g", "(" * depth + "x*y" + ")" * depth, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert doc["error"]["kind"] == "ParseError"
+    assert doc["error"]["offset"] == MAX_NESTING
+    # the bound itself still parses
+    nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(nested, ["x"]) == MultiPoly.variable(1, 0)
+
+
+def test_cli_huge_exponent_is_a_parse_error(capsys):
+    start = time.perf_counter()
+    code = run(["profile", "-g", "x^100000000", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert doc["error"]["kind"] == "ParseError"
+    assert doc["error"]["offset"] == 2
+    assert parse_poly(f"x^{MAX_EXPONENT}", ["x"]).degree() == MAX_EXPONENT

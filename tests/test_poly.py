@@ -240,3 +240,11 @@ def test_polymap_shape_errors(xy):
     m = PolyMap([x, y])
     with pytest.raises(ValueError):
         m + PolyMap([x])
+
+
+def test_max_abs_coeff_sees_nan_after_a_number():
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    m = PolyMap([x + (y * y).scale(1e-9) + (x * x).scale(math.nan), y])
+    assert math.isnan(m.coords[0].max_abs_coeff())
+    assert math.isnan(m.max_abs_coeff())
+    assert not m.is_identity(3, tol=1e-8)

@@ -301,3 +301,13 @@ def test_divisible_initial_part_still_reported():
     res = recover_shift_jet(field, h, 5)
     assert res.residual_ok
     assert res.omegas[1].poly == y
+
+
+def test_recovery_refuses_nan_jet(quartic_field):
+    # a NaN after a small number in the degree-2 slice, below the flat order 3
+    field = VectorFieldJet(quartic_field.field.to_float())
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    h = PolyMap([x + (y * y).scale(1e-9) + (x * x).scale(math.nan), y], 6)
+    with pytest.raises(InconsistentJetError) as err:
+        recover_shift_jet(field, h, 6)
+    assert err.value.order == 0
