@@ -407,9 +407,10 @@ def run(argv, _batches=()):
         return 2
     except JetflowError as exc:
         error = {"kind": exc.kind, "detail": str(exc)}
-        order = getattr(exc, "order", None)
-        if order is not None:
-            error["order"] = order
+        for key in ("order", "best_t", "distance"):
+            value = getattr(exc, key, None)
+            if value is not None:
+                error[key] = value
         _emit(args, args.command, error=error)
         return 3
     except (UsageError, ValueError, OSError) as exc:

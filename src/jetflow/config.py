@@ -19,10 +19,14 @@ FLOAT_DROP_TOL = 1e-12
 # Coefficientwise tolerance for float residual checks (recovery, verify).
 RESIDUAL_TOL = 1e-8
 
-# Frobenius-norm tolerance for matching a matrix against {e^{Lt}}.
+# Tolerance for matching a matrix A against {e^{Lt}}: t is accepted when
+# ||e^{Lt} - A||_F <= DELTA0_TOL * max(1, ||A||_F), so the bound is
+# absolute while ||A||_F <= 1 and relative above.
 DELTA0_TOL = 1e-9
 
-# Search window |t| <= DELTA0_WINDOW for the subgroup parameter.
+# Search window |t| <= DELTA0_WINDOW for the subgroup parameter.  When e^{Lt}
+# is not periodic, a purely imaginary eigenvalue +-ib of L gives about
+# DELTA0_WINDOW * b / pi candidate times.
 DELTA0_WINDOW = 100.0
 
 _ENV_VAR = "JETFLOW_FLOAT_TOL"

@@ -38,9 +38,20 @@ class InconsistentJetError(JetflowError):
 
 
 class NotOnSubgroupError(JetflowError):
-    """No time t in the search window puts e^{Lt} within tolerance of A."""
+    """No time t in the search window puts e^{Lt} within tolerance of A.
+
+    Carries the closest time tried and its Frobenius distance
+    ||e^{L best_t} - A||_F (both None when no candidate lay in the window).
+    """
 
     kind = "NotOnSubgroup"
+
+    def __init__(self, message, best_t=None, distance=None):
+        if best_t is not None:
+            message = f"{message}; closest t = {best_t!r} at distance {distance:.3e}"
+        super().__init__(message)
+        self.best_t = best_t
+        self.distance = distance
 
 
 class NoSuchFactorError(JetflowError):

@@ -114,76 +114,85 @@ def _as_float_rows(m):
     return [[float(x) for x in row] for row in m]
 
 
-# Step of the coarse scan over the search window.
-_SCAN_STEP = 0.01
+def _branches(base, step, n):
+    """The first n of base + k step, k = 0, 1, -1, 2, -2, ...: in order of |t|
+    when |base| <= |step| / 2 and step points toward 0."""
+    return (base + (i + 1) // 2 * (step if i % 2 else -step) for i in range(n))
 
 
 def delta0_linear(a, l_mat, tol=None):
-    """Time t with ||e^{Lt} - A||_F <= tol, preferring the smallest |t|.
+    """Time t with ||e^{Lt} - A||_F <= tol * max(1, ||A||_F), preferring the smallest |t|.
 
-    Coarse scan over |t| <= config.DELTA0_WINDOW in steps of 0.01 (iterated
-    multiplication by the step matrix), then 1-D Newton on t -> ||e^{Lt} - A||_F^2 at each candidate
-    local minimum in order of increasing |t|.  Raises NotOnSubgroupError when
-    no candidate reaches the tolerance.
+    Newton starts come from the Schur form L = Q T Q^H: A = e^{Lt} makes
+    B = Q^H A Q triangular with B_jj = e^{lambda_j t}, so t = ln|B_jj| / Re
+    lambda_j, or t = (arg B_jj + 2 pi k) / Im lambda_j when Re lambda_j = 0,
+    for the k that keep |t| <= config.DELTA0_WINDOW (only k = 0 when
+    e^{L 2 pi / Im lambda_j} = I).  The eigenvalue with the fewest starts is
+    used, and among single ones the largest |B_jj Re lambda_j|, which
+    rounding hurts least; a nilpotent L starts from <L, A - I>_F / ||L||_F^2.
+    Each start, in order of |t|, is polished by 1-D Newton on
+    t -> ||e^{Lt} - A||_F^2, and the first within the tolerance and the
+    window is returned.  Raises NotOnSubgroupError, carrying the closest
+    polished t and its distance, when none is.
     """
     import numpy as np
-    from scipy.linalg import expm
+    from scipy.linalg import expm, schur
 
     a_mat = np.array(_as_float_rows(a), dtype=float)
     l_arr = np.array(_as_float_rows(l_mat), dtype=float)
     if not np.any(l_arr):
         raise ValueError("L must be nonzero")
     tol = config.delta0_tol(tol)
+    bound = tol * max(1.0, float(np.linalg.norm(a_mat)))
     window = config.DELTA0_WINDOW
 
-    def value(t):
-        e = expm(l_arr * t)
-        d = e - a_mat
-        return float(np.sum(d * d))
+    best_t, best_dist = None, None
+    with np.errstate(all="ignore"):
+        tri, q = schur(l_arr, output="complex")
+        scale = np.linalg.norm(l_arr)
+        key, starts = None, [np.sum(l_arr * (a_mat - np.eye(len(l_arr)))) / scale ** 2]
+        for lam, mu in zip(np.diag(tri), np.diag(q.conj().T @ a_mat @ q)):
+            # below 1e-10 ||L||_F an eigenvalue, and below 1e-10 |lambda| a
+            # real part, is zero up to rounding
+            if abs(lam) <= 1e-10 * scale or not np.isfinite(mu):
+                continue
+            if abs(lam.real) > 1e-10 * abs(lam):
+                ts, lam_key = [np.log(abs(mu)) / lam.real], (1, -abs(mu * lam.real))
+            else:
+                period = 2 * np.pi / abs(lam.imag)
+                base = np.angle(mu) / lam.imag  # the branch nearest 0
+                n = int(np.floor((window - base) / period) + np.floor((window + base) / period) + 1)
+                # when e^{L period} = I every branch gives the same matrix
+                if np.linalg.norm(expm(l_arr * period) - np.eye(len(l_arr))) <= tol:
+                    n = min(n, 1)
+                ts, lam_key = _branches(base, -period if base >= 0 else period, n), (n, 0.0)
+            if key is None or lam_key < key:
+                key, starts = lam_key, ts
 
-    nsteps = int(round(window / _SCAN_STEP))
-    with np.errstate(over="ignore", invalid="ignore"):
-        sides = []
-        for step_mat, sign in ((expm(l_arr * _SCAN_STEP), 1), (expm(-l_arr * _SCAN_STEP), -1)):
-            side_ts, side_vals = [], []
-            cur = np.eye(len(l_arr))
-            for i in range(1, nsteps + 1):
-                cur = cur @ step_mat
-                d = cur - a_mat
-                side_ts.append(sign * i * _SCAN_STEP)
-                side_vals.append(float(np.sum(d * d)))
-            sides.append((side_ts, side_vals))
-        (pos_ts, pos_vals), (neg_ts, neg_vals) = sides
-        ts = neg_ts[::-1] + [0.0] + pos_ts
-        vals = neg_vals[::-1] + [value(0.0)] + pos_vals
-
-    candidates = []
-    for i in range(1, len(ts) - 1):
-        v = vals[i]
-        if not np.isfinite(v):
-            continue
-        if v <= vals[i - 1] and v <= vals[i + 1]:
-            candidates.append((abs(ts[i]), ts[i], v))
-    candidates.sort()
-
-    for _, t0, _ in candidates[:200]:
-        t = t0
-        for _ in range(80):
-            e = expm(l_arr * t)
-            d = e - a_mat
-            le = l_arr @ e
-            grad = 2.0 * float(np.sum(le * d))
-            hess = 2.0 * float(np.sum(le * le)) + 2.0 * float(np.sum((l_arr @ le) * d))
-            if not np.isfinite(grad) or not np.isfinite(hess) or hess <= 0:
-                break
-            step = -grad / hess
-            t += step
-            if abs(step) < 1e-15 * max(1.0, abs(t)):
-                break
-        if abs(t) <= window + _SCAN_STEP and value(t) <= tol * tol:
-            return t
+        for t in map(float, starts):
+            for _ in range(80):
+                e = expm(l_arr * t)
+                d = e - a_mat
+                le = l_arr @ e
+                grad = 2.0 * float(np.sum(le * d))
+                hess = 2.0 * float(np.sum(le * le)) + 2.0 * float(np.sum((l_arr @ le) * d))
+                if not np.isfinite(grad) or not np.isfinite(hess) or hess <= 0:
+                    break
+                step = -grad / hess
+                t += step
+                if abs(step) < 1e-15 * max(1.0, abs(t)):
+                    break
+            dist = float(np.linalg.norm(expm(l_arr * t) - a_mat))
+            if abs(t) > window or not np.isfinite(dist):
+                continue
+            if dist <= bound:
+                return t
+            # distances within the tolerance of each other tie; the smaller |t| wins
+            if best_dist is None or dist < best_dist - bound:
+                best_t, best_dist = t, dist
     raise NotOnSubgroupError(
-        f"no t with |t| <= {window} puts e^(Lt) within {tol} of the target matrix")
+        f"no t with |t| <= {window} puts e^(Lt) within {bound:.3g} of the target matrix",
+        best_t, best_dist)
 
 
 def _low_order_junk(diff, upto, bound):

@@ -3,9 +3,9 @@
 A polynomial is a list of Fraction coefficients, index = power, with no
 trailing zeros (the zero polynomial is the empty list).  These helpers back
 the bivariate homogeneous GCD (via dehomogenization), Sturm-sequence real
-root counting, and Yun's squarefree decomposition.  ``content`` is the one
-rational content (gcd of numerators over lcm of denominators) for
-polynomials of any number of variables.
+root counting and rational roots, and Yun's squarefree decomposition.
+``content`` is the one rational content (gcd of numerators over lcm of
+denominators) for polynomials of any number of variables.
 """
 
 from __future__ import annotations
@@ -189,33 +189,39 @@ def integerize(p):
     return [int(v / c) for v in p]
 
 
-def _divisors(n):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
 def rational_roots(p):
-    """All rational roots of p with multiplicity 1 each (p assumed squarefree)."""
+    """All distinct rational roots of p, in increasing order.
+
+    With a = the leading coefficient of the integerized p of degree n,
+    q(y) = a^(n-1) p(y / a) is monic with integer coefficients, so its
+    rational roots are integers and none lies at a half-integer.  Sturm
+    counts bisect the real line on half-integer endpoints down to unit
+    intervals, and the integer inside each nonempty one is tested.
+    """
     ints = integerize(p)
-    if not ints or len(ints) == 1:
-        return []
     roots = []
-    if ints[0] == 0:
+    if ints and ints[0] == 0:
         roots.append(Fraction(0))
-        while ints and ints[0] == 0:
+        while ints[0] == 0:
             ints = ints[1:]
-    if len(ints) <= 1:
+    n = len(ints) - 1
+    if n < 1:
         return roots
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and evaluate([Fraction(c) for c in ints], cand) == 0:
-                    roots.append(cand)
+    lead = ints[-1]
+    q = [Fraction(c * lead ** (n - 1 - i)) for i, c in enumerate(ints[:-1])] + [Fraction(1)]
+    chain = sturm_chain(q)
+    bound = 1 + max(abs(c) for c in q[:-1])  # Cauchy: every root has |y| < bound
+    half = Fraction(1, 2)
+    pending = [(-bound - half, bound + half)]
+    while pending:
+        lo, hi = pending.pop()
+        if _variations_at(chain, lo) == _variations_at(chain, hi):
+            continue
+        if hi - lo == 1:
+            y = lo + half
+            if evaluate(q, y) == 0:
+                roots.append(y / lead)
+            continue
+        mid = lo + (hi - lo) // 2
+        pending += [(lo, mid), (mid, hi)]
     return sorted(roots)

@@ -173,6 +173,30 @@ def test_cli_inconsistent_carries_order(capsys):
     assert "order" in doc["error"]
 
 
+def test_cli_not_on_subgroup_carries_best_t(capsys):
+    # the linear part diag(2, 3) is no rotation; the closest one is t = 0
+    code = run(["recover", "-F", "-y, x", "-h", "2*x, 3*y", "-K", "2", "--float", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    error = doc["error"]
+    assert error["kind"] == "NotOnSubgroup"
+    assert error["best_t"] == pytest.approx(0.0, abs=1e-9)
+    assert error["distance"] == pytest.approx(5 ** 0.5)
+    assert "closest t = " in error["detail"]
+
+
+def test_cli_classify_large_frequency_square(capsys):
+    # x^2 + 1000000000000000000039: its rational roots used to be searched by
+    # trial division up to the square root of the constant term
+    start = time.perf_counter()
+    code = run(["classify-exp", "-L", "0,-1000000000000000000039;1,0", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert doc["result"]["tag"] == "Circle"
+    assert doc["result"]["evidence"]["frequency_squares"] == ["1000000000000000000039"]
+
+
 def test_cli_vars_override(capsys):
     code = run(["reduce-ham", "-g", "u^3*v^4", "--vars", "u,v"])
     out = capsys.readouterr().out

@@ -1,21 +1,27 @@
-"""The exact kernel against sympy, and float products against a schoolbook loop.
+"""The exact kernel and rational roots against sympy, float products against a
+schoolbook loop, and the time shift delta0 against scipy's matrix exponential.
 
 Inputs come from hypothesis (derandomized, so every run checks the same
 examples); answers come from sympy's own polynomial arithmetic over QQ, or
 from closed forms.
 """
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.linalg import expm
 
 from jetflow import VectorFieldJet, shift_jet
-from jetflow.config import FLOAT_DROP_TOL
+from jetflow.config import DELTA0_TOL, FLOAT_DROP_TOL
 from jetflow.errors import NotDivisibleError
 from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, compose, divide_exact,
                           monomials_of_degree)
+from jetflow.recover import delta0_linear
+from jetflow.univar import rational_roots
 
 ORACLE = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -140,3 +146,102 @@ def test_shift_of_x_squared_is_x_over_one_minus_tx(t, k):
     field = VectorFieldJet(PolyMap([MultiPoly(1, {(2,): 1})]))
     jet = shift_jet(field, MultiPoly.const(1, t), k)
     assert jet.coords[0].terms == {(i + 1,): t ** i for i in range(k) if t ** i != 0}
+
+
+@ORACLE
+@given(roots=st.lists(st.fractions(-6, 6, max_denominator=5), max_size=4),
+       cofactor=st.lists(st.integers(-9, 9), max_size=5))
+@example(roots=[Fraction(10 ** 21 + 39)], cofactor=[10 ** 21 + 39, 0, 1])
+def test_rational_roots_match_sympy(roots, cofactor):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(cofactor)) or [1], x, domain=sympy.QQ)
+    assume(not poly.is_zero)
+    for r in roots:
+        poly *= sympy.Poly(x - sympy.Rational(r.numerator, r.denominator), x, domain=sympy.QQ)
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    _, factors = poly.factor_list()
+    linear = [f.all_coeffs() for f, _ in factors if f.degree() == 1]
+    expected = sorted(Fraction(int(-b.p * a.q), int(b.q * a.p)) for a, b in linear)
+    assert rational_roots(coeffs) == expected
+
+
+# -- delta0_linear on A = e^{L t0} -------------------------------------------
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def linear_parts(draw):
+    """(family, L): rotations, saddles, spirals, Jordan blocks with a nonzero
+    eigenvalue, nilpotents and random 3 x 3 matrices."""
+    family = draw(st.sampled_from(
+        ["rotation", "saddle", "spiral", "jordan", "nilpotent", "random"]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if family == "rotation":
+        b = sign * draw(_floats(0.25, 2.0))
+        return family, np.array([[0.0, -b], [b, 0.0]])
+    if family == "saddle":
+        return family, np.diag([-draw(_floats(0.2, 1.0)), draw(_floats(0.2, 1.0))])
+    if family == "spiral":
+        a, b = sign * draw(_floats(0.05, 0.5)), draw(_floats(0.25, 2.0))
+        return family, np.array([[a, -b], [b, a]])
+    if family == "jordan":
+        lam, c = sign * draw(_floats(0.05, 1.0)), draw(_floats(0.5, 2.0))
+        return family, np.array([[lam, c], [0.0, lam]])
+    if family == "nilpotent":
+        upper = [draw(_floats(-1.0, 1.0)) for _ in range(3)]
+        assume(max(abs(u) for u in upper) > 0.1)
+        return family, np.array([[0.0, upper[0], upper[1]],
+                                 [0.0, 0.0, upper[2]],
+                                 [0.0, 0.0, 0.0]])
+    mat = np.array([[draw(_floats(-1.0, 1.0)) for _ in range(3)] for _ in range(3)])
+    assume(np.linalg.norm(mat) > 0.1)
+    return family, mat
+
+
+def _bound(a_mat):
+    return DELTA0_TOL * max(1.0, np.linalg.norm(a_mat))
+
+
+def _example(family, rows, t0):
+    return example(case=(family, np.array(rows)), t0=t0, noisy=False, data=None)
+
+
+@ORACLE
+@given(case=linear_parts(), t0=_floats(-40.0, 40.0), noisy=st.booleans(),
+       data=st.data())
+# large |t0|: entries of e^{Lt0} up to e^{38}, which only a relative tolerance can meet
+@_example("saddle", [[-1.0, 0.0], [0.0, 1.0]], 38.0)
+@_example("saddle", [[-0.2, 0.0], [0.0, 1.0]], 26.0)
+@_example("saddle", [[-1.0, 0.0], [0.0, 0.2]], -37.5)
+@_example("spiral", [[0.5, -2.0], [2.0, 0.5]], 40.0)
+@_example("jordan", [[1.0, 2.0], [0.0, 1.0]], 35.0)
+@_example("random", [[0.3, -0.9, 0.2], [0.8, -0.1, 0.5], [-0.4, 0.6, 0.7]], 39.0)
+# nilpotent L: one that is not triangular, whose Schur eigenvalues are
+# rounding, and one whose start <L, A - I>_F / ||L||_F^2 is -306
+@_example("nilpotent", [[1.0, 1.0], [-1.0, -1.0]], 25.0)
+@_example("nilpotent", [[0.0, 1.0, -1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], -40.0)
+# two rotation frequencies in the ratio sqrt(2): the branches of one of them are tried
+@_example("rotations", [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, -math.sqrt(2)], [0.0, 0.0, math.sqrt(2), 0.0]], -2.9)
+def test_delta0_reproduces_the_exponential(case, t0, noisy, data):
+    family, l_mat = case
+    a_mat = expm(l_mat * t0)
+    if noisy:
+        n = len(l_mat)
+        noise = np.array(data.draw(st.lists(_floats(-1.0, 1.0), min_size=n * n,
+                                            max_size=n * n))).reshape(n, n)
+        a_mat = a_mat + 1e-13 * max(1.0, np.linalg.norm(a_mat)) * noise
+    t = delta0_linear(a_mat, l_mat)
+    assert np.linalg.norm(expm(l_mat * t) - a_mat) <= _bound(a_mat)
+    # to first order both t and t0 lie within the bound, so they can differ by
+    # about 2 * bound / ||dA/dt|| and no more
+    spread = 4 * _bound(a_mat) / np.linalg.norm(l_mat @ a_mat)
+    if family == "rotation":
+        period = 2 * math.pi / abs(l_mat[1, 0])
+        turns = (t - t0) / period
+        assert abs(turns - round(turns)) * period <= spread
+        assert abs(t) <= period / 2 + spread
+    elif family != "random" or max(abs(np.linalg.eigvals(l_mat).real)) > 0.05:
+        assert abs(t - t0) <= spread

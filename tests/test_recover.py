@@ -58,6 +58,22 @@ def test_delta0_circle_prefers_smallest_t():
     assert abs(t - (4.0 - 2 * math.pi)) < 1e-9
 
 
+def test_delta0_tolerance_scales_with_the_matrix():
+    # entries near e^38: no t is within an absolute 1e-9 of A, but t = 38 is
+    # within 1e-9 * ||A||_F, and an off-diagonal entry of 1e-8 * ||A||_F is not
+    saddle = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    a = expm(saddle * 38.0)
+    norm = np.linalg.norm(a)
+    assert abs(delta0_linear(a, saddle) - 38.0) < 1e-12
+    a[0, 1] = 1e-10 * norm
+    assert abs(delta0_linear(a, saddle) - 38.0) < 1e-12
+    a[0, 1] = 1e-8 * norm
+    with pytest.raises(NotOnSubgroupError) as info:
+        delta0_linear(a, saddle)
+    assert abs(info.value.best_t - 38.0) < 1e-12
+    assert info.value.distance == pytest.approx(1e-8 * norm)
+
+
 def test_delta0_not_on_subgroup():
     rot = [[0.0, -1.0], [1.0, 0.0]]
     with pytest.raises(NotOnSubgroupError):
