@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shlex
 import sys
@@ -411,6 +412,11 @@ def run(argv, _batches=()):
             value = getattr(exc, key, None)
             if value is not None:
                 error[key] = value
+        residual = getattr(exc, "residual", None)
+        if isinstance(residual, PolyMap):
+            error["residual"] = [poly_to_json(c) for c in residual.coords]
+        elif residual is not None:
+            error["residual"] = residual if math.isfinite(residual) else repr(residual)
         _emit(args, args.command, error=error)
         return 3
     except (UsageError, ValueError, OSError) as exc:

@@ -25,8 +25,10 @@ class InconsistentJetError(JetflowError):
     """A jet is not of the form id + P*omega at some order.
 
     Carries the failing order and the residual (the part of the jet that
-    cannot be matched), so callers can tell a non-shift input apart from a
-    vector field violating the non-divisibility hypothesis.
+    cannot be matched: the offending homogeneous slice as a PolyMap, or the
+    float least-squares residual as a number), so callers can tell a
+    non-shift input apart from a vector field violating the
+    non-divisibility hypothesis.
     """
 
     kind = "Inconsistent"

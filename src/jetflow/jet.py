@@ -52,8 +52,21 @@ class VectorFieldJet:
         return PolyMap([h.poly for h in self.P])
 
     def flow_coeffs(self, imax, k):
-        """v_1..v_imax, each truncated to order k (cached per k)."""
-        vs = self._vcache.setdefault(k, [PolyMap(self.field.coords, k)])
+        """v_1..v_imax, each truncated to order k (cached per k).
+
+        v_i truncated to k is v_i at order k, so a new order is first cut
+        from the lowest cached higher order that holds imax coefficients:
+        the recovery loop's low orders then reuse the coefficients computed
+        for the full jet instead of running the derivative recursion again.
+        """
+        vs = self._vcache.get(k)
+        if vs is None:
+            longer = [j for j, ws in self._vcache.items() if j > k and len(ws) >= imax]
+            if longer:
+                vs = [w.truncate(k) for w in self._vcache[min(longer)][:max(imax, 1)]]
+            else:
+                vs = [PolyMap(self.field.coords, k)]
+            self._vcache[k] = vs
         while len(vs) < imax:
             prev = vs[-1]
             nxt = [combine_trunc(self.n, self.mode,

@@ -123,11 +123,15 @@ def rref(rows):
         work[r], work[pivot] = work[pivot], work[r]
         inv = 1 / work[r][col]
         work[r] = [x * inv for x in work[r]]
+        # Row operations touch only the pivot row's nonzero columns.
+        support = [(j, b) for j, b in enumerate(work[r]) if b]
         for i in range(len(work)):
-            if i == r or work[i][col] == 0:
+            row = work[i]
+            f = row[col]
+            if i == r or f == 0:
                 continue
-            f = work[i][col]
-            work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            for j, b in support:
+                row[j] -= f * b
         pivots.append(col)
         r += 1
         if r == len(work):

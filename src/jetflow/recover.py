@@ -1,20 +1,24 @@
 """Recovery of a shift function's homogeneous components from a jet.
 
 Given a vector field F with flat order p and initial part P, and a map jet h
-that is formally a shift along the orbits of F, the components omega_0,
-omega_1, ... of the shift function are recovered order by order: at each
-step the lowest non-identity slice of the current jet must factor as
-P * omega_l, and the jet is pushed back toward the identity by flowing for
-time -omega_l.
+that is formally a shift x -> Phi(x, sigma(x)) along the orbits of F, the
+homogeneous components omega_0, omega_1, ... of sigma are recovered order by
+order: with sigma_l = omega_0 + ... + omega_l, h - Phi(x, sigma_l) must
+vanish through degree p + l, and its degree-(p+l+1) slice must factor as
+P * omega_{l+1}.  Only shift jets of F are computed, never a composition
+with h, except once in float mode with p = 1: there h is first moved by
+the flow for time -omega_0, which leaves a shift function of order >= 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import config
 from .errors import InconsistentJetError, NotOnSubgroupError
-from .jet import hatted_shift_jet
+from .jet import hatted_shift_jet, shift_jet
 from .linalg import RatMatrix, solve_exact
 from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, as_poly,
                    mono_mul, monomials_of_degree)
@@ -64,30 +68,38 @@ def divide_by_initial_part(v, p_vec, l=None, tol=None):
     unknowns = monomials_of_degree(nvars, l)
     targets = monomials_of_degree(nvars, p_deg + l)
     target_index = {m: i for i, m in enumerate(targets)}
+    for v_i in v_polys:
+        if not v_i.is_homogeneous(p_deg + l) and not v_i.is_zero():
+            raise ValueError(f"v must be homogeneous of degree {p_deg + l}")
+
+    def block(p_i, v_i):
+        """The rows and right-hand side of P_i * omega = v_i."""
+        rows = [[0] * len(unknowns) for _ in targets]
+        for mono_p, c in p_i.terms.items():
+            for u_idx, mono_u in enumerate(unknowns):
+                rows[target_index[mono_mul(mono_p, mono_u)]][u_idx] += c
+        return rows, [v_i.coefficient(m) for m in targets]
+
+    if mode == EXACT:
+        # Multiplication by a nonzero P_i is injective, so the block of the
+        # sparsest nonzero P_i fixes omega; the other coordinates are checked
+        # by multiplying back.
+        i = min((i for i, q in enumerate(p_polys) if not q.is_zero()),
+                key=lambda i: len(p_polys[i].terms))
+        sol, _ = solve_exact(*block(p_polys[i], v_polys[i]))
+        omega = None if sol is None else MultiPoly(nvars, dict(zip(unknowns, sol)), EXACT)
+        if omega is None or any(p_j * omega != v_j for p_j, v_j in zip(p_polys, v_polys)):
+            raise InconsistentJetError(
+                f"jet slice of degree {p_deg + l} is not P * omega",
+                order=l, residual=PolyMap(v_polys))
+        return HomogPoly(omega, l)
 
     rows = []
     rhs = []
     for p_i, v_i in zip(p_polys, v_polys):
-        if not v_i.is_homogeneous(p_deg + l) and not v_i.is_zero():
-            raise ValueError(f"v must be homogeneous of degree {p_deg + l}")
-        block = [[0] * len(unknowns) for _ in targets]
-        for mono_p, c in p_i.terms.items():
-            for u_idx, mono_u in enumerate(unknowns):
-                block[target_index[mono_mul(mono_p, mono_u)]][u_idx] += c
-        rows.extend(block)
-        rhs.extend(v_i.coefficient(m) for m in targets)
-
-    if mode == EXACT:
-        sol, unique = solve_exact(rows, rhs)
-        if sol is None:
-            residual = PolyMap(v_polys)
-            raise InconsistentJetError(
-                f"jet slice of degree {p_deg + l} is not P * omega",
-                order=l, residual=residual)
-        if not unique:
-            raise RuntimeError("initial-part division produced a parametric family; P must be zero")
-        omega = MultiPoly(nvars, dict(zip(unknowns, sol)), EXACT)
-        return HomogPoly(omega, l)
+        block_rows, block_rhs = block(p_i, v_i)
+        rows.extend(block_rows)
+        rhs.extend(block_rhs)
 
     import numpy as np
 
@@ -169,7 +181,12 @@ def delta0_linear(a, l_mat, tol=None):
             if key is None or lam_key < key:
                 key, starts = lam_key, ts
 
-        for t in map(float, starts):
+        def distance(u):
+            dist = float(np.linalg.norm(expm(l_arr * u) - a_mat))
+            return dist if abs(u) <= window and np.isfinite(dist) else math.inf
+
+        for start in map(float, starts):
+            t = start
             for _ in range(80):
                 e = expm(l_arr * t)
                 d = e - a_mat
@@ -182,8 +199,10 @@ def delta0_linear(a, l_mat, tol=None):
                 t += step
                 if abs(step) < 1e-15 * max(1.0, abs(t)):
                     break
-            dist = float(np.linalg.norm(expm(l_arr * t) - a_mat))
-            if abs(t) > window or not np.isfinite(dist):
+            # Newton can run toward t -> -inf from a start that already lies
+            # within the bound (an A near the zero matrix): keep the better.
+            dist, t = min((distance(t), t), (distance(start), start), key=itemgetter(0))
+            if dist == math.inf:
                 continue
             if dist <= bound:
                 return t
@@ -196,12 +215,13 @@ def delta0_linear(a, l_mat, tol=None):
 
 
 def _low_order_junk(diff, upto, bound):
-    """First order 1..upto where diff has a slice with a coefficient above bound, else None."""
+    """(deg, slice) for the first degree 1..upto where diff has a coefficient
+    above bound, else None."""
     for deg in range(1, upto + 1):
-        parts = [c.homogeneous_part(deg) for c in diff.coords]
+        part = PolyMap([c.homogeneous_part(deg).poly for c in diff.coords])
         # `not ... <=` counts a NaN coefficient as junk.
-        if not PolyMap([q.poly for q in parts]).max_abs_coeff() <= bound:
-            return deg, parts
+        if not part.max_abs_coeff() <= bound:
+            return deg, part
     return None
 
 
@@ -227,45 +247,38 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
     if not h.vanishes_at_origin():
         raise ValueError("h must fix the origin")
 
-    ident = PolyMap.identity(n, mode)
     bound = config.residual_tol(tol) if mode == FLOAT else 0
     hl = h.truncate(k)
+    sigma = MultiPoly.zero(n, mode)
     omegas = []
 
     if p == 1:
         if mode == EXACT:
-            if hl.linear_part() != ident.linear_part():
+            if hl.linear_part() != PolyMap.identity(n, mode).linear_part():
                 raise ValueError(
                     "exact recovery with p = 1 requires j^1(h) = id; "
                     "normalize the input or use float mode")
-            omegas.append(HomogPoly.zero(n, 0, EXACT))
         else:
             t = delta0_linear(hl.linear_part(), field.L, tol=delta0_tol)
             omegas.append(HomogPoly(MultiPoly.const(n, t, FLOAT), 0))
-    else:
-        junk = _low_order_junk(hl - ident, p - 1, bound)
-        if junk is not None:
-            raise InconsistentJetError(
-                f"jet differs from the identity below the flat order (degree {junk[0]})",
-                order=0, residual=junk[1])
-        v = [c.homogeneous_part(p) for c in (hl - ident).coords]
-        omegas.append(divide_by_initial_part(v, field.P, 0, tol))
+            # The one composition with h: Phi(h, -t) is the shift by the
+            # rest of the shift function, which has order >= 1.
+            hl = hatted_shift_jet(field, hl, -omegas[0].poly, k)
 
-    lmax = k - p
-    for l in range(lmax + 1):
-        hl = hatted_shift_jet(field, hl, -omegas[l].poly, k)
-        if l == lmax:
-            break
-        diff = hl - ident
-        junk = _low_order_junk(diff, p + l, bound)
+    for l in range(len(omegas), k - p + 1):
+        d = p + l
+        diff = hl.truncate(d) - shift_jet(field, sigma, d)
+        junk = _low_order_junk(diff, d - 1, bound)
         if junk is not None:
-            raise InconsistentJetError(
-                f"after removing omega_{l}, the jet still differs from the identity "
-                f"at degree {junk[0]} <= p+l", order=l + 1, residual=junk[1])
-        v = [c.homogeneous_part(p + l + 1) for c in diff.coords]
-        omegas.append(divide_by_initial_part(v, field.P, l + 1, tol))
+            where = (f"from the shift by omega_0..omega_{l - 1} at degree {junk[0]} < p+{l}"
+                     if omegas else f"from the identity below the flat order (degree {junk[0]})")
+            raise InconsistentJetError(f"jet differs {where}", order=l, residual=junk[1])
+        v = [c.homogeneous_part(d) for c in diff.coords]
+        omegas.append(divide_by_initial_part(v, field.P, l, tol))
+        sigma = sigma + omegas[l].poly
 
-    return RecoveryResult(omegas, hl.is_identity(k, tol=bound), mode)
+    diff = hl - shift_jet(field, sigma, k)
+    return RecoveryResult(omegas, diff.max_abs_coeff() <= bound, mode)
 
 
 def verify_residual(field, h, omegas, k, tol=None):

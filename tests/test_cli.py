@@ -173,6 +173,21 @@ def test_cli_inconsistent_carries_order(capsys):
     assert "order" in doc["error"]
 
 
+def test_cli_inconsistent_carries_residual(capsys):
+    # x^5 is no P * omega_2: exact mode reports the degree-5 slice as term
+    # lists per coordinate, float mode its least-squares residual
+    argv = ["recover", "-F", "-3*x^2*y-4*y^3, 2*x^3+3*x*y^2", "-h", "x + x^5, y",
+            "-K", "6", "--json"]
+    assert run(argv) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["order"] == 2
+    assert error["residual"] == [[{"exps": [5, 0], "num": "1", "den": "1"}], []]
+    assert run(argv + ["--float"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["order"] == 2
+    assert error["residual"] == pytest.approx(1.0)
+
+
 def test_cli_not_on_subgroup_carries_best_t(capsys):
     # the linear part diag(2, 3) is no rotation; the closest one is t = 0
     code = run(["recover", "-F", "-y, x", "-h", "2*x, 3*y", "-K", "2", "--float", "--json"])

@@ -1,5 +1,7 @@
-"""The exact kernel and rational roots against sympy, float products against a
-schoolbook loop, and the time shift delta0 against scipy's matrix exponential.
+"""The exact kernel, the univariate routines (rational and real roots,
+squarefree decomposition) and minimal polynomials against sympy, float
+products against a schoolbook loop, and the time shift delta0 against
+scipy's matrix exponential.
 
 Inputs come from hypothesis (derandomized, so every run checks the same
 examples); answers come from sympy's own polynomial arithmetic over QQ, or
@@ -18,10 +20,11 @@ from scipy.linalg import expm
 from jetflow import VectorFieldJet, shift_jet
 from jetflow.config import DELTA0_TOL, FLOAT_DROP_TOL
 from jetflow.errors import NotDivisibleError
+from jetflow.linalg import RatMatrix, minimal_polynomial
 from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, compose, divide_exact,
                           monomials_of_degree)
 from jetflow.recover import delta0_linear
-from jetflow.univar import rational_roots
+from jetflow.univar import count_real_roots, rational_roots, squarefree_decomposition
 
 ORACLE = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -163,6 +166,94 @@ def test_rational_roots_match_sympy(roots, cofactor):
     linear = [f.all_coeffs() for f, _ in factors if f.degree() == 1]
     expected = sorted(Fraction(int(-b.p * a.q), int(b.q * a.p)) for a, b in linear)
     assert rational_roots(coeffs) == expected
+
+
+# -- univariate routines and minimal polynomials -----------------------------
+
+X = sympy.Symbol("x")
+
+
+@st.composite
+def univariates(draw):
+    """Nonzero products of rational linear factors, some repeated, and a small
+    integer cofactor whose roots may be irrational or complex."""
+    roots = draw(st.lists(st.fractions(-3, 3, max_denominator=3), max_size=3))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(roots), max_size=len(roots)))
+    cofactor = draw(st.lists(st.integers(-4, 4), max_size=4).filter(lambda c: any(c)))
+    poly = sympy.Poly(list(reversed(cofactor)), X, domain=sympy.QQ)
+    for r, mult in zip(roots, mults):
+        poly *= sympy.Poly(X - sympy.Rational(r.numerator, r.denominator), X) ** mult
+    return poly
+
+
+def coeff_list(poly):
+    """Low-to-high Fraction coefficients of a sympy Poly in x."""
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+@ORACLE
+@given(poly=univariates(), lo=st.fractions(-4, 4, max_denominator=7),
+       width=st.fractions(0, 8, max_denominator=7))
+@example(poly=sympy.Poly((X - 1) ** 3 * (X ** 2 - 2), X, domain=sympy.QQ), lo=Fraction(-2),
+         width=Fraction(7, 2))
+def test_count_real_roots_matches_sympy(poly, lo, width):
+    coeffs = coeff_list(poly)
+    roots = set(sympy.real_roots(poly))
+    assert count_real_roots(coeffs) == len(roots)
+    hi = lo + width
+    assume(poly.eval(lo) != 0 and poly.eval(hi) != 0)
+    assert count_real_roots(coeffs, lo, hi) == sum(1 for r in roots if lo < r < hi)
+
+
+@ORACLE
+@given(poly=univariates())
+def test_squarefree_decomposition_matches_sympy(poly):
+    _, factors = sympy.sqf_list(poly)
+    expected = [(mult, coeff_list(f.monic())) for f, mult in factors if f.degree() > 0]
+    assert squarefree_decomposition(coeff_list(poly)) == sorted(expected)
+
+
+@st.composite
+def rational_matrices(draw):
+    """S J S^-1 with J block diagonal of Jordan blocks whose eigenvalues
+    repeat, and S a product of unit triangular integer matrices."""
+    n = draw(st.integers(1, 4))
+    eigen = st.fractions(-2, 2, max_denominator=2)
+    j = sympy.zeros(n, n)
+    for i in range(n):
+        j[i, i] = sympy.Rational(*draw(eigen).as_integer_ratio())
+        if i and j[i, i] == j[i - 1, i - 1] and draw(st.booleans()):
+            j[i - 1, i] = 1
+    lower, upper = sympy.eye(n), sympy.eye(n)
+    for a in range(n):
+        for b in range(a):
+            lower[a, b] = draw(st.integers(-2, 2))
+            upper[b, a] = draw(st.integers(-2, 2))
+    s = lower * upper
+    return s * j * s.inv()
+
+
+def sympy_minimal_polynomial(mat):
+    """det(xI - A) over the monic gcd of the (n-1)-minors of xI - A: the
+    last invariant factor of the characteristic matrix."""
+    n = mat.rows
+    char = X * sympy.eye(n) - mat
+    minors = [char.minor_submatrix(i, j).det() for i in range(n) for j in range(n)]
+    g = sympy.Poly(0, X, domain=sympy.QQ)
+    for m in minors:
+        g = g.gcd(sympy.Poly(m, X, domain=sympy.QQ))
+    quotient, remainder = sympy.Poly(char.det(), X, domain=sympy.QQ).div(g.monic())
+    assert remainder.is_zero
+    return quotient.monic()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(mat=rational_matrices())
+@example(mat=sympy.Matrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]]))
+def test_minimal_polynomial_matches_sympy(mat):
+    rows = [[Fraction(int(mat[i, j].p), int(mat[i, j].q)) for j in range(mat.cols)]
+            for i in range(mat.rows)]
+    assert minimal_polynomial(RatMatrix(rows)) == coeff_list(sympy_minimal_polynomial(mat))
 
 
 # -- delta0_linear on A = e^{L t0} -------------------------------------------

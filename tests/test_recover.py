@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from jetflow.errors import InconsistentJetError, NotOnSubgroupError
 from jetflow.jet import VectorFieldJet, hatted_shift_jet, shift_jet
 from jetflow.linalg import RatMatrix
-from jetflow.poly import EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap
+from jetflow.poly import EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, monomials_of_degree
 from jetflow.recover import (delta0_linear, divide_by_initial_part,
                              recover_shift_jet, verify_residual)
 
@@ -80,6 +80,18 @@ def test_delta0_not_on_subgroup():
         delta0_linear([[2.0, 0.0], [0.0, 3.0]], rot)
     with pytest.raises(ValueError):
         delta0_linear(np.eye(2), [[0.0, 0.0], [0.0, 0.0]])
+
+
+def test_delta0_keeps_a_start_newton_would_lose():
+    # A within the tolerance of the zero matrix: the closed-form start is
+    # already close, while Newton runs on toward t -> -infinity
+    l_mat = [[0.9654446765375958, -0.0030486964166335727],
+             [0.085453413173639, 0.9977260342867106]]
+    a_mat = [[-5.4345413350314665e-14, -3.1624213314449354e-14],
+             [4.10004174836929e-14, 1.0427038353958503e-13]]
+    t = delta0_linear(a_mat, l_mat)
+    dist = np.linalg.norm(expm(np.array(l_mat) * t) - np.array(a_mat))
+    assert dist <= 1e-9 * max(1.0, np.linalg.norm(a_mat))
 
 
 def test_recover_round_trip_example(quartic_field):
@@ -202,6 +214,42 @@ def test_recover_inconsistent_reports_order(quartic_field):
     with pytest.raises(InconsistentJetError) as err:
         recover_shift_jet(quartic_field, broken, 8)
     assert err.value.order == 2
+
+
+def _three_var_p2_field():
+    x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+    return VectorFieldJet(PolyMap([y ** 2 + x * z, z ** 2 - x ** 3, x ** 2 + (y * z).scale(2)]))
+
+
+def _exact_p1_field():
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    return VectorFieldJet(PolyMap([x.scale(-4) + y ** 2, y.scale(3) + x * y]))
+
+
+@pytest.mark.parametrize("name, k", [("quartic", 8), ("3-var p=2", 5), ("p=1", 5)])
+def test_non_shift_jets_keep_their_verdicts(quartic_field, name, k):
+    # e * m added to coordinate j of a shift jet, deg m = d: below the flat
+    # order the slice e * m fails at order 0; from it on, the recovery
+    # matches alpha below degree d, then meets the slice P * alpha_{d-p} +
+    # e * m in coordinate j, which no P * omega equals (p = 1 needs d >= 2)
+    field = {"quartic": quartic_field, "3-var p=2": _three_var_p2_field(),
+             "p=1": _exact_p1_field()}[name]
+    n, p = field.n, field.p
+    rng = random.Random(89)
+    alpha = rand_poly(rng, n, 1, min_deg=1 if p == 1 else 0, nonzero=True)
+    h = shift_jet(field, alpha, k)
+    for d in range(2 if p == 1 else 1, k + 1):
+        for _ in range(2):
+            mono = rng.choice(monomials_of_degree(n, d))
+            j = rng.randrange(n)
+            e = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+            bump = [MultiPoly(n, {mono: e}) if i == j else MultiPoly.zero(n) for i in range(n)]
+            with pytest.raises(InconsistentJetError) as err:
+                recover_shift_jet(field, h + PolyMap(bump), k)
+            slice_ = alpha.homogeneous_part(d - p).poly if d >= p else MultiPoly.zero(n)
+            expected = PolyMap([q.poly * slice_ + b for q, b in zip(field.P, bump)])
+            assert err.value.order == max(d - p, 0)
+            assert err.value.residual == expected
 
 
 def test_verify_residual_cases(quartic_field):
