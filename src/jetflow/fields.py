@@ -17,7 +17,7 @@ from . import univar
 from .errors import NoSuchFactorError, NotDivisibleError
 from .linalg import RatMatrix, minimal_polynomial, nullspace, rref
 from .poly import (EXACT, HomogPoly, MultiPoly, PolyMap, as_poly,
-                   bivariate_homog_gcd, divide_exact)
+                   bivariate_homog_gcd, common_quotient, dehomogenize, divide_exact)
 
 
 @dataclass
@@ -129,24 +129,10 @@ def verify_integral_representation(vf, funcs):
     h = cross_product_field(funcs)
     if h.nvars != vf.n:
         raise ValueError("dimension mismatch")
-    field = vf.field
-    eta = None
-    for f_coord, h_coord in zip(field.coords, h.coords):
-        if f_coord.is_zero():
-            continue
-        try:
-            eta = divide_exact(h_coord, f_coord)
-        except NotDivisibleError as exc:
-            raise NoSuchFactorError(
-                f"coordinate {h_coord} is not a polynomial multiple of {f_coord}") from exc
-        break
-    if eta is None:
-        raise ValueError("the vector field is zero")
-    for f_coord, h_coord in zip(field.coords, h.coords):
-        if eta * f_coord != h_coord:
-            raise NoSuchFactorError(
-                "no single polynomial factor works for every coordinate")
-    return eta
+    try:
+        return common_quotient(h.coords, vf.field.coords)
+    except NotDivisibleError as exc:
+        raise NoSuchFactorError(str(exc)) from exc
 
 
 def gradients_independent_sampled(funcs, samples=None):
@@ -278,11 +264,7 @@ def binary_form_profile(g):
         raise ValueError("g must be homogeneous")
     x_mult = min(m[0] for m in poly.terms)
     # Dehomogenize at x = 1; the x factor escapes to infinity.
-    max_y = max(m[1] for m in poly.terms)
-    coeffs = [Fraction(0)] * (max_y + 1)
-    for mono, c in poly.terms.items():
-        coeffs[mono[1]] += c
-    u = univar.normalize(coeffs)
+    u = dehomogenize(poly, 1)
 
     # The Yun factors are pairwise coprime and multiply to the squarefree
     # part of u, so the distinct-root counts add up over them.

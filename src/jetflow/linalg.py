@@ -157,21 +157,20 @@ def nullspace(rows, ncols):
 def solve_exact(rows, rhs):
     """Solve rows @ x = rhs exactly.
 
-    Returns (solution, unique_flag); solution is None when the system is
-    inconsistent.  unique_flag is False when free variables remain (the
-    returned solution then has zeros in the free coordinates).
+    Returns a solution, or None when the system is inconsistent.  When free
+    variables remain, the solution has zeros in the free coordinates.
     """
     if not rows:
-        return [], True
+        return []
     ncols = len(rows[0])
     aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     red, pivots = rref(aug)
     if ncols in pivots:
-        return None, True
+        return None
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
-    return x, len(pivots) == ncols
+    return x
 
 
 def minimal_polynomial(m):
@@ -182,11 +181,8 @@ def minimal_polynomial(m):
     for k in range(1, n + 1):
         power = power @ m
         flat = [x for row in power.rows for x in row]
-        cols = flat_powers
-        rows = [[cols[i][idx] for i in range(len(cols))] for idx in range(n * n)]
-        sol, unique = solve_exact(rows, flat)
+        sol = solve_exact([list(row) for row in zip(*flat_powers)], flat)
         if sol is not None:
-            coeffs = [-c for c in sol] + [Fraction(1)]
-            return coeffs
+            return [-c for c in sol] + [Fraction(1)]
         flat_powers.append(flat)
     raise RuntimeError("minimal polynomial not found below degree n+1")

@@ -14,7 +14,10 @@ heaps, and packed exponent vectors", CASC 2007), so that multiplying
 monomials is one integer addition and truncation one comparison.  Exact
 coefficients there are integer numerators over one common denominator per
 polynomial, so a Fraction is built once per output term.  ``.terms`` stays
-the tuple-keyed view; exact products build it on first access.
+the tuple-keyed view; products in both scalar modes build it on first
+access.  Exact division, by one polynomial (divide_exact) or coordinatewise
+by a vector (common_quotient), reduces by a single divisor in graded-lex
+order (Cox, Little and O'Shea, "Ideals, Varieties, and Algorithms", 2.3).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -107,8 +110,8 @@ def _check_pair(a, b):
 class MultiPoly:
     """Sparse polynomial in ``nvars`` variables over one scalar mode."""
 
-    # Exact products are born packed (see _pack); their tuple-keyed terms
-    # are built on first access, so intermediate products never make one.
+    # Products are born packed (see _pack); their tuple-keyed terms are
+    # built on first access, so intermediate products never make one.
     __slots__ = ("nvars", "mode", "_terms", "_packed")
 
     def __init__(self, nvars, terms=None, mode=EXACT):
@@ -162,8 +165,9 @@ class MultiPoly:
         terms = self._terms
         if terms is None:
             bits, keys, values, den = self._packed
-            self._terms = terms = dict(zip(_unpack_keys(self.nvars, bits, keys),
-                                           [Fraction(v, den) for v in values]))
+            if self.mode == EXACT:
+                values = [Fraction(v, den) for v in values]
+            self._terms = terms = dict(zip(_unpack_keys(self.nvars, bits, keys), values))
         return terms
 
     # -- basic queries -----------------------------------------------------
@@ -428,26 +432,18 @@ def _pack(p, bits):
 
 def _from_sums(n, mode, bits, sums, den, drop):
     """The MultiPoly whose packed terms are ``sums``: key -> numerator over
-    den (exact) or key -> float.  Float values with |v| <= drop are left out
-    (NaN stays).  The sorted packed form is kept as the result's cache."""
+    den (exact) or key -> float.  Values with |v| <= drop are left out (NaN
+    stays).  The sorted packed form is kept as the result's cache, and
+    ``.terms`` is built from it on first access."""
+    keys = sorted(key for key, v in sums.items() if not abs(v) <= drop)
+    values = [sums[key] for key in keys]
     if mode == EXACT:
-        keys = sorted(key for key, v in sums.items() if v)
-        values = [sums[key] for key in keys]
         # Dividing out the gcd leaves den the lcm of the reduced
         # coefficients' denominators, as _pack would compute it.
         g = math.gcd(den, *values)
         den //= g
         values = [v // g for v in values]
-        terms = None
-    else:
-        # Float terms keep the order in which their sums first appeared.
-        items = [(key, v) for key, v in sums.items() if not abs(v) <= drop]
-        terms = dict(zip(_unpack_keys(n, bits, [key for key, _ in items]),
-                         [v for _, v in items]))
-        items.sort(key=itemgetter(0))
-        keys = [key for key, _ in items]
-        values = [v for _, v in items]
-    result = MultiPoly._raw(n, terms, mode)
+    result = MultiPoly._raw(n, None, mode)
     result._packed = (bits, keys, values, den)
     return result
 
@@ -772,6 +768,36 @@ def divide_exact(f, d):
     return MultiPoly(f.nvars, quot, f.mode)
 
 
+def common_quotient(nums, dens):
+    """The one q with q * dens[j] = nums[j] for every coordinate j.
+
+    Divides the first coordinate with a nonzero divisor by divide_exact and
+    checks the others by multiplying back.  Raises NotDivisibleError when no
+    such q exists, ZeroDivisionError when every divisor is zero.
+    """
+    pairs = list(zip(nums, dens, strict=True))
+    num, den = next(((n, d) for n, d in pairs if not d.is_zero()), (None, None))
+    if den is None:
+        raise ZeroDivisionError("division by the zero vector")
+    try:
+        q = divide_exact(num, den)
+    except NotDivisibleError:
+        raise NotDivisibleError(
+            f"coordinate {num} is not a polynomial multiple of {den}") from None
+    if any(q * d != n for n, d in pairs):
+        raise NotDivisibleError("no single polynomial factor works for every coordinate")
+    return q
+
+
+def dehomogenize(p, keep):
+    """Coefficient list, lowest degree first, of p with every variable but
+    ``keep`` set to 1 (univar's convention; exact mode)."""
+    coeffs = [Fraction(0)] * (max((m[keep] for m in p.terms), default=0) + 1)
+    for m, c in p.terms.items():
+        coeffs[m[keep]] += c
+    return univar.normalize(coeffs)
+
+
 def _strip_common_monomial(f, g):
     """Largest monomial dividing both nonzero f and g; returns (mono, f/mono, g/mono)."""
     n = f.nvars
@@ -823,20 +849,8 @@ def bivariate_homog_gcd(f, g):
         p = _gcd_normalize(pg if pf.is_zero() else pf)
         return HomogPoly(p, max(p.degree(), 0))
     mono, pf, pg = _strip_common_monomial(pf, pg)
-
-    def dehomog(p):
-        coeffs = [Fraction(0)] * (max((m[0] for m in p.terms), default=0) + 1)
-        for m, c in p.terms.items():
-            coeffs[m[0]] += c
-        return univar.normalize(coeffs)
-
-    u = dehomog(pf)
-    w = dehomog(pg)
-    h = univar.gcd(u, w)
+    h = univar.gcd(dehomogenize(pf, 0), dehomogenize(pg, 0))
     d = univar.degree(h)
-    terms = {}
-    for i, c in enumerate(h):
-        if c != 0:
-            terms[(i + mono[0], d - i + mono[1])] = c
+    terms = {(i + mono[0], d - i + mono[1]): c for i, c in enumerate(h)}
     out = _gcd_normalize(MultiPoly(2, terms, EXACT))
     return HomogPoly(out, max(out.degree(), 0))

@@ -5,9 +5,11 @@ that is formally a shift x -> Phi(x, sigma(x)) along the orbits of F, the
 homogeneous components omega_0, omega_1, ... of sigma are recovered order by
 order: with sigma_l = omega_0 + ... + omega_l, h - Phi(x, sigma_l) must
 vanish through degree p + l, and its degree-(p+l+1) slice must factor as
-P * omega_{l+1}.  Only shift jets of F are computed, never a composition
-with h, except once in float mode with p = 1: there h is first moved by
-the flow for time -omega_0, which leaves a shift function of order >= 1.
+P * omega_{l+1}: in exact mode omega_{l+1} is the common quotient of the
+slice by P (poly.common_quotient), in float mode a least-squares solution.
+Only shift jets of F are computed, never a composition with h, except once
+in float mode with p = 1: there h is first moved by the flow for time
+-omega_0, which leaves a shift function of order >= 1.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import config
-from .errors import InconsistentJetError, NotOnSubgroupError
+from .errors import InconsistentJetError, NotDivisibleError, NotOnSubgroupError
 from .jet import hatted_shift_jet, shift_jet
-from .linalg import RatMatrix, solve_exact
+from .linalg import RatMatrix
 from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, as_poly,
-                   mono_mul, monomials_of_degree)
+                   common_quotient, mono_mul, monomials_of_degree)
 
 
 @dataclass
@@ -43,9 +45,11 @@ def divide_by_initial_part(v, p_vec, l=None, tol=None):
     """The unique omega of degree l with P_i * omega = v_i for all coordinates.
 
     v is the homogeneous degree-(p+l) part of a jet minus the identity; P is
-    the initial part of the field.  Solves the linear system in omega's
-    coefficients (exactly over rationals, least squares plus a residual check
-    in float mode).  Raises InconsistentJetError when v is not of the form
+    the initial part of the field.  Exact mode takes omega as the common
+    quotient of v by P (poly.common_quotient: one exact division, the other
+    coordinates checked by multiplying back).  Float mode solves the stacked
+    linear system in omega's coefficients by least squares and checks the
+    residual.  Raises InconsistentJetError when v is not of the form
     P * omega.
     """
     v_polys = _coord_polys(v)
@@ -64,53 +68,36 @@ def divide_by_initial_part(v, p_vec, l=None, tol=None):
         l = v_deg - p_deg
     if l < 0:
         raise InconsistentJetError("v has degree below that of P", order=l)
+    for v_i in v_polys:
+        if not v_i.is_homogeneous(p_deg + l):
+            raise ValueError(f"v must be homogeneous of degree {p_deg + l}")
+
+    if mode == EXACT:
+        try:
+            omega = common_quotient(v_polys, p_polys)
+        except NotDivisibleError:
+            raise InconsistentJetError(
+                f"jet slice of degree {p_deg + l} is not P * omega",
+                order=l, residual=PolyMap(v_polys)) from None
+        return HomogPoly(omega, l)
+
+    import numpy as np
 
     unknowns = monomials_of_degree(nvars, l)
     targets = monomials_of_degree(nvars, p_deg + l)
     target_index = {m: i for i, m in enumerate(targets)}
-    for v_i in v_polys:
-        if not v_i.is_homogeneous(p_deg + l) and not v_i.is_zero():
-            raise ValueError(f"v must be homogeneous of degree {p_deg + l}")
-
-    def block(p_i, v_i):
-        """The rows and right-hand side of P_i * omega = v_i."""
-        rows = [[0] * len(unknowns) for _ in targets]
+    a = np.zeros((len(p_polys) * len(targets), len(unknowns)))
+    for block, p_i in enumerate(p_polys):
+        offset = block * len(targets)
         for mono_p, c in p_i.terms.items():
             for u_idx, mono_u in enumerate(unknowns):
-                rows[target_index[mono_mul(mono_p, mono_u)]][u_idx] += c
-        return rows, [v_i.coefficient(m) for m in targets]
-
-    if mode == EXACT:
-        # Multiplication by a nonzero P_i is injective, so the block of the
-        # sparsest nonzero P_i fixes omega; the other coordinates are checked
-        # by multiplying back.
-        i = min((i for i, q in enumerate(p_polys) if not q.is_zero()),
-                key=lambda i: len(p_polys[i].terms))
-        sol, _ = solve_exact(*block(p_polys[i], v_polys[i]))
-        omega = None if sol is None else MultiPoly(nvars, dict(zip(unknowns, sol)), EXACT)
-        if omega is None or any(p_j * omega != v_j for p_j, v_j in zip(p_polys, v_polys)):
-            raise InconsistentJetError(
-                f"jet slice of degree {p_deg + l} is not P * omega",
-                order=l, residual=PolyMap(v_polys))
-        return HomogPoly(omega, l)
-
-    rows = []
-    rhs = []
-    for p_i, v_i in zip(p_polys, v_polys):
-        block_rows, block_rhs = block(p_i, v_i)
-        rows.extend(block_rows)
-        rhs.extend(block_rhs)
-
-    import numpy as np
-
-    a = np.array([[float(x) for x in row] for row in rows], dtype=float)
-    b = np.array([float(x) for x in rhs], dtype=float)
+                a[offset + target_index[mono_mul(mono_p, mono_u)], u_idx] += c
+    b = np.array([v_i.coefficient(m) for v_i in v_polys for m in targets], dtype=float)
     sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < len(unknowns):
         raise RuntimeError("initial-part division produced a parametric family; P must be zero")
-    scale = float(np.max(np.abs(b))) if b.size else 0.0
-    bound = config.residual_tol(tol) * max(1.0, scale)
-    resid = float(np.max(np.abs(a @ sol - b))) if b.size else 0.0
+    bound = config.residual_tol(tol) * max(1.0, float(np.max(np.abs(b))))
+    resid = float(np.max(np.abs(a @ sol - b)))
     if not resid <= bound:  # a NaN residual is refused too
         raise InconsistentJetError(
             f"jet slice of degree {p_deg + l} is not P * omega "

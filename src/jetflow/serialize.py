@@ -24,10 +24,18 @@ def poly_to_json(p):
 
 
 def poly_from_json(entries, nvars, mode=EXACT):
+    """The MultiPoly of a term list; ValueError for a document of another shape."""
+    if not isinstance(entries, list):
+        raise ValueError("a polynomial document is a list of term objects")
     terms = {}
     for entry in entries:
-        mono = tuple(int(e) for e in entry["exps"])
-        num, den = entry["num"], entry.get("den", "1")
+        get = entry.get if isinstance(entry, dict) else {}.get
+        exps, num, den = get("exps"), get("num"), get("den", "1")
+        if not (isinstance(exps, list) and all(isinstance(e, int) for e in exps)
+                and isinstance(num, str) and isinstance(den, str) and float(den)):
+            raise ValueError('a term is an object with an "exps" list of integers, '
+                             'a "num" string and a nonzero "den" string')
+        mono = tuple(exps)
         if mode == FLOAT or "." in num or "e" in num or "inf" in num or "nan" in num:
             coeff = float(num) / float(den)
         else:
@@ -41,6 +49,12 @@ def polymap_to_json(m):
 
 
 def polymap_from_json(data, mode=EXACT):
+    """The PolyMap of a map document; ValueError when it has another shape."""
+    if not (isinstance(data, dict) and isinstance(data.get("nvars"), int)
+            and isinstance(data.get("coords"), list)
+            and isinstance(data.get("trunc"), (int, type(None)))):
+        raise ValueError('a map document is an object with an integer "nvars", '
+                         'a "coords" list and an optional integer "trunc"')
     coords = [poly_from_json(c, data["nvars"], mode) for c in data["coords"]]
     return PolyMap(coords, data.get("trunc"))
 
@@ -55,9 +69,10 @@ def jets_to_json(omegas, nvars):
 
 
 def jets_from_json(data):
-    if not isinstance(data, dict) or "nvars" not in data or "omegas" not in data:
-        raise ValueError('a jets document is an object with "nvars" and "omegas"')
-    nvars = int(data["nvars"])
+    if not (isinstance(data, dict) and isinstance(data.get("nvars"), int)
+            and isinstance(data.get("omegas"), list)):
+        raise ValueError('a jets document is an object with an integer "nvars" and an "omegas" list')
+    nvars = data["nvars"]
     omegas = []
     for i, entries in enumerate(data["omegas"]):
         poly = poly_from_json(entries, nvars)

@@ -265,6 +265,27 @@ def test_cli_borel_jets_missing_keys(tmp_path, capsys):
         assert "omegas" in out["error"]["detail"]
 
 
+def test_cli_malformed_json_documents_end_in_usage_envelope(tmp_path, capsys):
+    term = {"exps": [1], "num": "1", "den": "1"}
+    scalars = [[1, 2], {"exps": [1]}, [{"exps": [1]}], [{"exps": ["a"], "num": "1"}],
+               [{"exps": [1], "num": 1}], [{**term, "den": "0"}], [5]]
+    maps = [[1, 2], {"nvars": 1, "coords": [[{"exps": [1]}]]}, {"nvars": "1", "coords": [[term]]},
+            {"nvars": 1, "coords": 5}, {"nvars": 1, "coords": [[term]], "trunc": "3"},
+            {"nvars": 1, "coords": [[{**term, "exps": None}]]}]
+    jets = [{"nvars": 1, "omegas": [[{"exps": [0]}]]}, {"nvars": 1, "omegas": [5]},
+            {"nvars": [1], "omegas": []}, {"nvars": 1, "omegas": 5}]
+    path = tmp_path / "f.json"
+    cases = ([["shift-jet", "-F", "x^2", "-a", f"@{path}", "-K", "3"], doc] for doc in scalars)
+    cases = [*cases, *([["recover", "-F", "x^2", "-h", f"@{path}", "-K", "3"], doc] for doc in maps),
+             *([["borel", "--jets", str(path)], doc] for doc in jets)]
+    for argv, doc in cases:
+        path.write_text(json.dumps(doc))
+        code = run([*argv, "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1, (argv, doc)
+        assert out["ok"] is False and out["error"]["kind"] == "Usage", (argv, doc)
+
+
 def test_cli_json_operand_round_trip(tmp_path, capsys):
     # a float map produced by shift-jet --json feeds back into recover via @file
     code = run(["shift-jet", "-F", "-4*x, 3*y", "-a", "1/4 + x^2", "-K", "5",

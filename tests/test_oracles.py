@@ -19,11 +19,11 @@ from scipy.linalg import expm
 
 from jetflow import VectorFieldJet, shift_jet
 from jetflow.config import DELTA0_TOL, FLOAT_DROP_TOL
-from jetflow.errors import NotDivisibleError
+from jetflow.errors import InconsistentJetError, NotDivisibleError
 from jetflow.linalg import RatMatrix, minimal_polynomial
-from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, compose, divide_exact,
-                          monomials_of_degree)
-from jetflow.recover import delta0_linear
+from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, common_quotient, compose,
+                          divide_exact, monomials_of_degree)
+from jetflow.recover import delta0_linear, divide_by_initial_part
 from jetflow.univar import count_real_roots, rational_roots, squarefree_decomposition
 
 ORACLE = settings(max_examples=40, deadline=None, derandomize=True)
@@ -115,6 +115,87 @@ def test_divide_exact_matches_sympy(nvars, data, divisible):
     else:
         with pytest.raises(NotDivisibleError):
             divide_exact(f, d)
+
+
+def sympy_common_quotient(nums, dens):
+    """The sympy Poly q with q * d = n in every coordinate, or None."""
+    q = None
+    for n, d in zip(nums, dens):
+        if d.is_zero():
+            if not n.is_zero():
+                return None
+            continue
+        quotient, remainder = to_sympy(n).div(to_sympy(d))
+        if not remainder.is_zero or (q is not None and quotient != q):
+            return None
+        q = quotient
+    return q
+
+
+def homogs(nvars, deg, nonzero=False):
+    out = polys(nvars, max_deg=deg, min_deg=deg, max_terms=4)
+    return out.filter(lambda q: not q.is_zero()) if nonzero else out
+
+
+@st.composite
+def initial_part_cases(draw):
+    """(P, omega, l, j, e*m): a homogeneous P in 1-3 variables with at least
+    one nonzero coordinate, a homogeneous omega of degree l, and a term e*m
+    of degree p + l to add to coordinate j of P * omega."""
+    nvars, p, l = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    p_vec = [draw(homogs(nvars, p)) for _ in range(nvars)]
+    p_vec[draw(st.integers(0, nvars - 1))] = draw(homogs(nvars, p, nonzero=True))
+    j = draw(st.integers(0, nvars - 1))
+    bump = MultiPoly(nvars, {draw(monos(nvars, p + l, p + l)): draw(COEFFS.filter(bool))})
+    return p_vec, draw(homogs(nvars, l)), l, j, bump
+
+
+X0, X1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=initial_part_cases())
+@example(case=([X0, X1], X0, 1, 0, X1 * X1))
+def test_divide_by_initial_part_matches_sympy(case):
+    p_vec, omega, l, j, bump = case
+    v = [q * omega for q in p_vec]
+    got = divide_by_initial_part(v, p_vec, l)
+    assert got.degree == l and got.poly == omega
+    assert omega.terms == from_sympy(sympy_common_quotient(v, p_vec), omega.nvars)
+    v[j] = v[j] + bump
+    expected = sympy_common_quotient(v, p_vec)
+    if expected is None:
+        with pytest.raises(InconsistentJetError) as info:
+            divide_by_initial_part(v, p_vec, l)
+        assert info.value.order == l and info.value.residual == PolyMap(v)
+    else:
+        assert divide_by_initial_part(v, p_vec, l).poly.terms == from_sympy(expected, omega.nvars)
+
+
+@st.composite
+def common_quotient_cases(draw):
+    """Divisors (one nonzero at least) and numerators d_j * q_j, each q_j one
+    of two drawn quotients."""
+    nvars, ncoords = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dens = [draw(polys(nvars, max_deg=2, max_terms=3)) for _ in range(ncoords)]
+    dens[draw(st.integers(0, ncoords - 1))] = draw(
+        polys(nvars, max_deg=2, max_terms=3).filter(lambda q: not q.is_zero()))
+    quotients = [draw(polys(nvars, max_deg=2, max_terms=3)) for _ in range(2)]
+    nums = [d * quotients[draw(st.integers(0, 1))] for d in dens]
+    return nums, dens
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=common_quotient_cases())
+@example(case=([X0 * X0, X0 * X1], [X0, X0]))
+def test_common_quotient_matches_sympy(case):
+    nums, dens = case
+    expected = sympy_common_quotient(nums, dens)
+    if expected is None:
+        with pytest.raises(NotDivisibleError):
+            common_quotient(nums, dens)
+    else:
+        assert common_quotient(nums, dens).terms == from_sympy(expected, dens[0].nvars)
 
 
 def schoolbook_mul_trunc(a, b, k):
