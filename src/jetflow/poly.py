@@ -6,12 +6,13 @@ two scalar modes never mix inside one computation.  PolyMap bundles m
 coordinate polynomials sharing the same variables and an optional truncation
 order K, and represents a K-jet of a map at the origin.
 
-Products (``*``, mul_trunc, pow_trunc, and through them composition) and the
-sums of scaled products in composition and in the flow series run on packed
-graded keys: each exponent tuple becomes one int with the total degree in its
-top field (Monagan and Pearce, "Polynomial division using dynamic arrays,
-heaps, and packed exponent vectors", CASC 2007), so that multiplying
-monomials is one integer addition and truncation one comparison.  Exact
+Products (``*``, mul_trunc, pow_trunc, product_slice for one degree, and
+through them composition) and the sums of scaled products in composition and
+in the flow series run on packed graded keys: each exponent tuple becomes one
+int with the total degree in its top field (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007), so that multiplying monomials is one integer addition and truncation
+one comparison.  Exact
 coefficients there are integer numerators over one common denominator per
 polynomial, so a Fraction is built once per output term.  ``.terms`` stays
 the tuple-keyed view; products in both scalar modes build it on first
@@ -296,6 +297,15 @@ class MultiPoly:
         out = {m: c for m, c in self.terms.items() if mono_deg(m) == d}
         return HomogPoly(MultiPoly._raw(self.nvars, out, self.mode), d)
 
+    def graded_parts(self, k):
+        """The homogeneous parts of degrees 0..k, as MultiPolys, in one pass."""
+        parts = [{} for _ in range(k + 1)]
+        for mono, c in self.terms.items():
+            deg = mono_deg(mono)
+            if deg <= k:
+                parts[deg][mono] = c
+        return [MultiPoly._raw(self.nvars, part, self.mode) for part in parts]
+
     def partial(self, index):
         """Exact partial derivative with respect to variable ``index`` (0-based)."""
         if not 0 <= index < self.nvars:
@@ -432,10 +442,13 @@ def _pack(p, bits):
 
 def _from_sums(n, mode, bits, sums, den, drop):
     """The MultiPoly whose packed terms are ``sums``: key -> numerator over
-    den (exact) or key -> float.  Values with |v| <= drop are left out (NaN
-    stays).  The sorted packed form is kept as the result's cache, and
-    ``.terms`` is built from it on first access."""
-    keys = sorted(key for key, v in sums.items() if not abs(v) <= drop)
+    den (exact) or key -> float.  Zero numerators, and floats with |v| <= drop,
+    are left out (NaN stays).  The sorted packed form is kept as the result's
+    cache, and ``.terms`` is built from it on first access."""
+    if mode == EXACT:
+        keys = sorted(key for key, v in sums.items() if v)
+    else:
+        keys = sorted(key for key, v in sums.items() if not abs(v) <= drop)
     values = [sums[key] for key in keys]
     if mode == EXACT:
         # Dividing out the gcd leaves den the lcm of the reduced
@@ -455,36 +468,53 @@ def _unpack_keys(n, bits, keys):
     return [tuple([key >> s & mask for s in shifts]) for key in keys]
 
 
-def _product(a, b, k, drop):
-    """The terms of a*b of total degree <= k (float terms with |c| <= drop
+def _product(a, b, k, drop, lo=0, bits=None):
+    """The terms of a*b of total degree lo..k (float terms with |c| <= drop
     left out).
 
-    Runs on packed keys (see _pack): the inner loop stops at the first term
-    of b whose degree exceeds k minus the degree of a's term, and each term
-    pair costs one integer addition for the monomial and one multiplication
-    of integer numerators (exact) or floats.  Sums accumulate in ascending
-    (degree, exponent tuple) order of a's terms, then b's, so float results
-    do not depend on the dict order of the operands.
+    Runs on packed keys (see _pack), ``bits`` bits per field (at least k's
+    width; the default): a caller that takes products of several degrees
+    from the same operands packs them at the largest order's width once.
+    Only term pairs landing in degrees lo..k are visited, each found by
+    bisection, and each pair costs one integer addition for the monomial and
+    one multiplication of integer numerators (exact) or floats.  Sums
+    accumulate in ascending (degree, exponent tuple) order of a's terms, then
+    b's, so float results do not depend on the dict order of the operands
+    or on the degree window.
     """
     _check_pair(a, b)
     n, mode = a.nvars, a.mode
-    if k < 0:
+    if k < max(lo, 0):
         return MultiPoly._raw(n, {}, mode)
-    bits = k.bit_length() + 1
+    if bits is None:
+        bits = k.bit_length() + 1
     shift = n * bits
     _, keys1, values1, den1 = _pack(a, bits)
     _, keys2, values2, den2 = _pack(b, bits)
     sums = {}
-    get = sums.get
-    for key1, v1 in zip(keys1, values1):
-        room = k - (key1 >> shift)
-        if room < 0:
-            break
-        cut = bisect_left(keys2, (room + 1) << shift)
-        for key2, v2 in zip(keys2[:cut], values2[:cut]):
-            key = key1 + key2
-            sums[key] = get(key, 0) + v1 * v2
+    if keys1 and keys2:
+        get = sums.get
+        low2, high2 = keys2[0] >> shift, keys2[-1] >> shift
+        if lo > high2:
+            first = bisect_left(keys1, (lo - high2) << shift)
+            keys1, values1 = keys1[first:], values1[first:]
+        for key1, v1 in zip(keys1, values1):
+            deg1 = key1 >> shift
+            if deg1 + low2 > k:
+                break
+            start = bisect_left(keys2, (lo - deg1) << shift) if lo > deg1 + low2 else 0
+            cut = bisect_left(keys2, (k - deg1 + 1) << shift)
+            for key2, v2 in zip(keys2[start:cut], values2[start:cut]):
+                key = key1 + key2
+                sums[key] = get(key, 0) + v1 * v2
     return _from_sums(n, mode, bits, sums, den1 * den2, drop)
+
+
+def product_slice(a, b, d, k):
+    """The degree-d slice of a*b, for d <= k, with both operands packed at
+    order k's width: slices of every degree up to k reuse one packing of
+    each operand (see _product)."""
+    return _product(a, b, d, FLOAT_DROP_TOL, d, k.bit_length() + 1)
 
 
 def combine_trunc(n, mode, pairs, k):

@@ -3,36 +3,54 @@
 Given a vector field F with flat order p and initial part P, and a map jet h
 that is formally a shift x -> Phi(x, sigma(x)) along the orbits of F, the
 homogeneous components omega_0, omega_1, ... of sigma are recovered order by
-order: with sigma_l = omega_0 + ... + omega_l, h - Phi(x, sigma_l) must
-vanish through degree p + l, and its degree-(p+l+1) slice must factor as
-P * omega_{l+1}: in exact mode omega_{l+1} is the common quotient of the
-slice by P (poly.common_quotient), in float mode a least-squares solution.
-Only shift jets of F are computed, never a composition with h, except once
-in float mode with p = 1: there h is first moved by the flow for time
--omega_0, which leaves a shift function of order >= 1.
+order: with sigma_{l-1} = omega_0 + ... + omega_{l-1}, every slice of
+h - Phi(x, sigma_{l-1}) below degree p + l must vanish, and the degree-(p+l)
+slice must factor as P * omega_l: in exact mode omega_l is the common
+quotient of the slice by P (poly.common_quotient), in float mode a
+least-squares solution.
+
+Phi(x, sigma) = x + sum_i v_i sigma^i / i! is evaluated online, in the
+manner of relaxed power series (van der Hoeven, "Relax, but don't be too
+lazy", J. Symbolic Comput. 34, 2002): each degree slice of each power
+sigma^i is computed once, as soon as the omegas it needs are known, and the
+degree-(p+l) slice of Phi(x, sigma_{l-1}) is a sum of slice products of
+known factors (poly.product_slice).  omega_l enters that degree only through
+v_1 sigma = P omega_l + ..., so each order costs one degree of product work
+and a whole recovery about as much as one shift jet at order K.  The slice
+sizes of h - Phi(x, sigma) come out on the way (RecoveryResult.residuals).
+Nothing is composed with h, except once in float mode with p = 1: there h
+is first moved by the flow for time -omega_0, which leaves a shift function
+of order >= 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 from . import config
 from .errors import InconsistentJetError, NotDivisibleError, NotOnSubgroupError
-from .jet import hatted_shift_jet, shift_jet
+from .jet import _inv_factorial, hatted_shift_jet
 from .linalg import RatMatrix
-from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, as_poly,
-                   common_quotient, mono_mul, monomials_of_degree)
+from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, as_poly, combine_trunc,
+                   common_quotient, mono_mul, monomials_of_degree, product_slice)
 
 
-@dataclass
+@dataclasses.dataclass
 class RecoveryResult:
-    """Recovered components omega_l (deg omega_l = l) plus the residual verdict."""
+    """Recovered components omega_l (deg omega_l = l) plus the residual verdict.
+
+    residuals[m - 1] is the largest |coefficient| of h - Phi(x, sigma) at
+    degree m = 1..K, sigma the sum of the omegas (in float mode with p = 1,
+    of Phi(h, -omega_0) - Phi(x, sigma - omega_0)); residual_ok says that
+    each lies within the residual tolerance (0 in exact mode).
+    """
 
     omegas: list
     residual_ok: bool
     mode: str
+    residuals: list = dataclasses.field(default_factory=list)
 
 
 def _coord_polys(v):
@@ -201,15 +219,12 @@ def delta0_linear(a, l_mat, tol=None):
         best_t, best_dist)
 
 
-def _low_order_junk(diff, upto, bound):
-    """(deg, slice) for the first degree 1..upto where diff has a coefficient
-    above bound, else None."""
-    for deg in range(1, upto + 1):
-        part = PolyMap([c.homogeneous_part(deg).poly for c in diff.coords])
-        # `not ... <=` counts a NaN coefficient as junk.
-        if not part.max_abs_coeff() <= bound:
-            return deg, part
-    return None
+def _differs(omegas, l, m, part):
+    """The error for h - Phi(x, omega_0 + ... + omega_{l-1}) off by ``part`` at
+    degree m < p + l, found at order l."""
+    where = (f"from the shift by omega_0..omega_{l - 1} at degree {m} < p+{l}"
+             if omegas else f"from the identity below the flat order (degree {m})")
+    return InconsistentJetError(f"jet differs {where}", order=l, residual=part)
 
 
 def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
@@ -236,7 +251,6 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
 
     bound = config.residual_tol(tol) if mode == FLOAT else 0
     hl = h.truncate(k)
-    sigma = MultiPoly.zero(n, mode)
     omegas = []
 
     if p == 1:
@@ -252,20 +266,59 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
             # rest of the shift function, which has order >= 1.
             hl = hatted_shift_jet(field, hl, -omegas[0].poly, k)
 
-    for l in range(len(omegas), k - p + 1):
-        d = p + l
-        diff = hl.truncate(d) - shift_jet(field, sigma, d)
-        junk = _low_order_junk(diff, d - 1, bound)
-        if junk is not None:
-            where = (f"from the shift by omega_0..omega_{l - 1} at degree {junk[0]} < p+{l}"
-                     if omegas else f"from the identity below the flat order (degree {junk[0]})")
-            raise InconsistentJetError(f"jet differs {where}", order=l, residual=junk[1])
-        v = [c.homogeneous_part(d) for c in diff.coords]
-        omegas.append(divide_by_initial_part(v, field.P, l, tol))
-        sigma = sigma + omegas[l].poly
+    first = len(omegas)
+    # the slices of h - x by degree, 0..K
+    hx = list(zip(*(c.graded_parts(k) for c in (hl - PolyMap.identity(n, mode)).coords)))
+    # residuals[m - 1] is max |h - Phi(x, sigma)| at degree m.  A degree
+    # below K above the bound is refused at the order that first sees it.
+    residuals = []
+    for m in range(1, p + first):
+        part = PolyMap(hx[m])
+        residuals.append(part.max_abs_coeff())
+        if m < k and not residuals[-1] <= bound:  # a NaN is refused too
+            raise _differs(omegas, first, m, part)
 
-    diff = hl - shift_jet(field, sigma, k)
-    return RecoveryResult(omegas, diff.max_abs_coeff() <= bound, mode)
+    # pows[1] is sigma = omega_first + ... + omega_{l-1}, of order ``order``
+    # (>= 1 when p = 1); pows[i] holds sigma^i through degree known[i].
+    # Phi(x, sigma) - x = sum_i v_i sigma^i / i! and v_i has order
+    # >= i(p-1) + 1, so only the terms with i(p-1) + 1 + i * order <= d reach
+    # degree d (v_i is fetched then), and they need sigma^i only through
+    # degree d - i(p-1) - 1: omega_l is missing there only for i = 1, where
+    # it contributes P omega_l.
+    pows, known, order, vs = [None, MultiPoly.zero(n, mode)], [None, None], math.inf, []
+    for l in range(first, k - p + 1):
+        d = p + l
+        terms = [[(1, part)] for part in hx[d]]
+        i = 1
+        while i * (p - 1 + order) < d:
+            if len(vs) < i:
+                vs = field.flow_coeffs(i, k)
+            if i == len(pows):
+                pows.append(MultiPoly.zero(n, mode))
+                known.append(i * order - 1)
+            while i > 1 and known[i] < d - i * (p - 1) - 1:
+                known[i] += 1
+                step = product_slice(pows[i - 1], pows[1], known[i], k)
+                pows[i] = combine_trunc(n, mode, [(1, pows[i]), (1, step)], k)
+            inv_fact = -_inv_factorial(i, mode)
+            for pairs, v_ij in zip(terms, vs[i - 1].coords):
+                pairs.append((inv_fact, product_slice(v_ij, pows[i], d, k)))
+            i += 1
+        v = PolyMap([combine_trunc(n, mode, pairs, k) for pairs in terms])
+        omegas.append(divide_by_initial_part(v, field.P, l, tol))
+        omega = omegas[l].poly
+        # the degree-d slice of h - Phi(x, sigma + omega_l)
+        rest = PolyMap([
+            combine_trunc(n, mode, [(1, v_j), (-1, product_slice(q.poly, omega, d, k))], k)
+            for v_j, q in zip(v.coords, field.P)])
+        residuals.append(rest.max_abs_coeff())
+        if d < k and not residuals[-1] <= bound:
+            raise _differs(omegas, l + 1, d, rest)
+        if not omega.is_zero():
+            pows[1] = pows[1] + omega
+            order = min(order, l)
+
+    return RecoveryResult(omegas, all(r <= bound for r in residuals), mode, residuals)
 
 
 def verify_residual(field, h, omegas, k, tol=None):

@@ -1,7 +1,8 @@
 """The exact kernel, the univariate routines (rational and real roots,
 squarefree decomposition) and minimal polynomials against sympy, float
-products against a schoolbook loop, and the time shift delta0 against
-scipy's matrix exponential.
+products against a schoolbook loop, recovery against closed-form flows, and
+the time shift delta0 and the float time-c flow against scipy's matrix
+exponential.
 
 Inputs come from hypothesis (derandomized, so every run checks the same
 examples); answers come from sympy's own polynomial arithmetic over QQ, or
@@ -17,12 +18,12 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from jetflow import VectorFieldJet, shift_jet
+from jetflow import VectorFieldJet, flow_time_jet, recover_shift_jet, shift_jet
 from jetflow.config import DELTA0_TOL, FLOAT_DROP_TOL
 from jetflow.errors import InconsistentJetError, NotDivisibleError
 from jetflow.linalg import RatMatrix, minimal_polynomial
 from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, common_quotient, compose,
-                          divide_exact, monomials_of_degree)
+                          divide_exact, monomials_of_degree, product_slice)
 from jetflow.recover import delta0_linear, divide_by_initial_part
 from jetflow.univar import count_real_roots, rational_roots, squarefree_decomposition
 
@@ -100,6 +101,16 @@ def test_compose_matches_sympy(n, m, data, k):
         expr = to_sympy(outer_coord).as_expr().subs(substitution, simultaneous=True)
         expected = from_sympy(sympy.Poly(expr, *gens(n), domain=sympy.QQ), n, k)
         assert coord.terms == expected
+
+
+@ORACLE
+@given(pair=poly_pairs(), d=st.integers(0, 10), extra=st.integers(0, 6))
+@example(pair=(MultiPoly.zero(2), MultiPoly.const(2, 3)), d=0, extra=0)
+def test_product_slice_matches_sympy(pair, d, extra):
+    a, b = pair
+    expected = {m: c for m, c in from_sympy(to_sympy(a) * to_sympy(b), a.nvars).items()
+                if sum(m) == d}
+    assert product_slice(a, b, d, d + extra).terms == expected
 
 
 @ORACLE
@@ -335,6 +346,72 @@ def test_minimal_polynomial_matches_sympy(mat):
     rows = [[Fraction(int(mat[i, j].p), int(mat[i, j].q)) for j in range(mat.cols)]
             for i in range(mat.rows)]
     assert minimal_polynomial(RatMatrix(rows)) == coeff_list(sympy_minimal_polynomial(mat))
+
+
+# -- recovery along closed-form flows -----------------------------------------
+
+def closed_form_shift(alpha, p, k):
+    """j^k of x_j (1 - (p-1) alpha x_j^(p-1))^(-1/(p-1)) in every coordinate:
+    the flow of x_j' = x_j^p (each coordinate on its own) at time alpha(x),
+    summed as a binomial series in sympy."""
+    nvars = alpha.nvars
+    xs = gens(nvars)
+    a = to_sympy(alpha)
+    coords = []
+    for x in xs:
+        u = a * sympy.Poly((1 - p) * x ** (p - 1), *xs, domain=sympy.QQ)
+        term = total = sympy.Poly(x, *xs, domain=sympy.QQ)
+        for m in range(1, k):  # x u^m has degree > m
+            term = term * u
+            total += term * sympy.binomial(sympy.Rational(-1, p - 1), m)
+        coords.append(MultiPoly(nvars, from_sympy(total, nvars, k)))
+    return PolyMap(coords)
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(p, alpha, K) for x' = x^2, x' = x^3 and the decoupled (x^2, y^2)."""
+    nvars, p = draw(st.sampled_from([(1, 2), (1, 3), (2, 2)]))
+    return p, draw(polys(nvars, max_deg=2, max_terms=4)), draw(st.integers(p, p + 4))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=closed_form_cases())
+@example(case=(2, MultiPoly(2, {(0, 0): Fraction(1, 2), (1, 0): 3, (1, 1): -2}), 6))
+def test_recovery_matches_closed_form_flows(case):
+    # h shares no code with shift_jet; alpha(0) != 0 is allowed
+    p, alpha, k = case
+    nvars = alpha.nvars
+    field = VectorFieldJet(PolyMap([MultiPoly.variable(nvars, j) ** p for j in range(nvars)]))
+    res = recover_shift_jet(field, closed_form_shift(alpha, p, k), k)
+    assert res.residual_ok and res.residuals == [0] * k
+    assert [omega.poly for omega in res.omegas] == [
+        alpha.homogeneous_part(l).poly for l in range(k - p + 1)]
+
+
+# -- the float time-c flow of a linear field ----------------------------------
+
+@ORACLE
+@given(case=st.sampled_from(["rotation", "saddle", "spiral", "jordan", "nilpotent"]),
+       c=st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False),
+       scale=st.floats(0.25, 2.0), k=st.integers(1, 4))
+@example(case="saddle", c=40.0, scale=1.0, k=3)
+@example(case="spiral", c=-40.0, scale=2.0, k=4)
+@example(case="jordan", c=37.0, scale=1.0, k=2)
+def test_flow_time_jet_matches_expm(case, c, scale, k):
+    l_mat = scale * np.array({
+        "rotation": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        "saddle": [[-1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
+        "spiral": [[0.5, -1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, -0.25]],
+        "jordan": [[-0.5, 1.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -0.5]],
+        "nilpotent": [[0.0, 1.0, -0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+    }[case])
+    jet = flow_time_jet(VectorFieldJet(PolyMap.linear(l_mat.tolist(), FLOAT)), c, k)
+    expected = expm(l_mat * c)
+    bound = 1e-10 * max(1.0, np.linalg.norm(expected))
+    assert np.linalg.norm(np.array(jet.linear_part()) - expected) <= bound
+    # a linear field flows linearly: no term of degree 2..k survives
+    assert all(abs(v) <= bound for q in jet.coords for m, v in q.terms.items() if sum(m) > 1)
 
 
 # -- delta0_linear on A = e^{L t0} -------------------------------------------

@@ -1,16 +1,18 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from jetflow.config import RESIDUAL_TOL
 from jetflow.errors import InconsistentJetError, NotOnSubgroupError
 from jetflow.jet import VectorFieldJet, hatted_shift_jet, shift_jet
 from jetflow.linalg import RatMatrix
 from jetflow.poly import EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, monomials_of_degree
-from jetflow.recover import (delta0_linear, divide_by_initial_part,
+from jetflow.recover import (RecoveryResult, delta0_linear, divide_by_initial_part,
                              recover_shift_jet, verify_residual)
 
 from conftest import rand_poly
@@ -375,3 +377,69 @@ def test_recovery_refuses_nan_jet(quartic_field):
     with pytest.raises(InconsistentJetError) as err:
         recover_shift_jet(field, h, 6)
     assert err.value.order == 0
+
+
+def _float_p1_field():
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    return VectorFieldJet(PolyMap([y.scale(-0.72) - (x * x).scale(0.5), x.scale(0.72) - y * y]))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_residual_verdict_matches_an_independent_residual(quartic_field, mode):
+    # round trips with e * m (one coordinate) or P * e * m added at one
+    # degree 1..K (floats of size 1e-10 and 1e-6, either side of the 1e-8
+    # bound): whenever recovery returns,
+    # residual_ok says whether h - Phi(x, sum omega) lies within the bound,
+    # and for p >= 2 residuals[m - 1] is its largest coefficient at degree m
+    rng = random.Random(101)
+    bound = RESIDUAL_TOL if mode == FLOAT else 0
+    fields = [quartic_field, _three_var_p2_field(),
+              _exact_p1_field() if mode == EXACT else _float_p1_field()]
+    if mode == FLOAT:
+        fields[:2] = [VectorFieldJet(f.field.to_float()) for f in fields[:2]]
+    verdicts = Counter()
+    for trial in range(24):
+        field = fields[trial % 3]
+        n, p = field.n, field.p
+        k = {2: 7, 3: 5}[n] if p > 1 else 5
+        alpha = rand_poly(rng, n, k - p, min_deg=1 if p == 1 else 0, mode=mode, nonzero=True)
+        if p == 1 and mode == FLOAT:
+            alpha = alpha + rng.uniform(0.2, 0.8)
+        elif mode == FLOAT:
+            # slices P * alpha_l of size >= 100 let a misfit of 1e-6 pass the
+            # division's relative bound, not the residual's absolute one
+            alpha = alpha.scale(8.0)
+        d = rng.randint(2 if p == 1 and mode == EXACT else 1, k)  # exact p = 1 needs j^1(h) = id
+        e = (rng.choice([1e-10, 1e-6]) * rng.choice([-1, 1]) if mode == FLOAT
+             else Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])))
+        mono = MultiPoly(n, {rng.choice(monomials_of_degree(n, max(d - p, 0))): e}, mode)
+        if d >= p and trial % 2:  # P * e m, which recovery can absorb into omega_{d-p}
+            bump = [q.poly * mono for q in field.P]
+        else:  # e m in one coordinate
+            bump = [mono * MultiPoly(n, {rng.choice(monomials_of_degree(n, min(d, p))): 1}, mode)
+                    if i == trial % n else MultiPoly.zero(n, mode) for i in range(n)]
+        h = shift_jet(field, alpha, k) + PolyMap(bump)
+        try:
+            res = recover_shift_jet(field, h, k)
+        except (InconsistentJetError, NotOnSubgroupError):
+            verdicts["refused"] += 1
+            continue
+        sigma = MultiPoly.zero(n, mode)
+        for omega in res.omegas:
+            sigma = sigma + omega.poly
+        diff = h - shift_jet(field, sigma, k)
+        assert res.residual_ok == (diff.max_abs_coeff() <= bound)
+        assert len(res.residuals) == k
+        assert res.residual_ok == all(r <= bound for r in res.residuals)
+        if p > 1:  # rounding: a few ulps of the jet's coefficients
+            for m, r in enumerate(res.residuals, start=1):
+                want = PolyMap([c.homogeneous_part(m).poly for c in diff.coords]).max_abs_coeff()
+                assert abs(r - want) <= 1e-13 * max(1.0, float(h.max_abs_coeff()))
+        verdicts[res.residual_ok] += 1
+    # the draw reaches every verdict the mode has
+    assert verdicts[True] and verdicts["refused"] and (mode == EXACT or verdicts[False])
+
+
+def test_recovery_result_residuals_default():
+    res = RecoveryResult([], True, EXACT)
+    assert res.residuals == [] and res == RecoveryResult([], True, EXACT, [])
