@@ -7,7 +7,11 @@ shift map x -> Phi(x, alpha(x)); for a field of flat order p the order bound
 j^{i(p-1)}(v_i) = 0 makes every K-jet of a shift a finite computation.
 Every flow jet here comes from that one series, VectorFieldJet.flow_coeffs:
 the shift jet is the hatted shift with h = id, and the float time-c flow
-sums the series of a time-scaled field and squares the result.
+sums the series of a time-scaled field and squares the result.  Each
+coefficient is one step of the field's Lie derivative on packed keys
+(poly.LieDerivative), in both scalar modes: one sum per coordinate, over
+v_i's terms in ascending packed order, then j ascending, then F_j's terms
+ascending, with float terms |c| <= FLOAT_DROP_TOL dropped once, at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import math
 from fractions import Fraction
 
 from .linalg import RatMatrix
-from .poly import EXACT, FLOAT, MultiPoly, PolyMap, Substituter, combine_trunc, compose
+from .poly import (EXACT, FLOAT, LieDerivative, MultiPoly, PolyMap, Substituter, combine_trunc,
+                   compose)
 
 
 class VectorFieldJet:
@@ -47,6 +52,7 @@ class VectorFieldJet:
         else:
             self.L = None
         self._vcache = {}
+        self._lie = {}
 
     def initial_part_map(self):
         return PolyMap([h.poly for h in self.P])
@@ -54,10 +60,15 @@ class VectorFieldJet:
     def flow_coeffs(self, imax, k):
         """v_1..v_imax, each truncated to order k (cached per k).
 
-        v_i truncated to k is v_i at order k, so a new order is first cut
-        from the lowest cached higher order that holds imax coefficients:
-        the recovery loop's low orders then reuse the coefficients computed
-        for the full jet instead of running the derivative recursion again.
+        v_{i+1} = (F . grad) v_i is one fused step of poly.LieDerivative,
+        whose table of F's packed keys and numerators is built once per
+        order k.  Float sums run over v_i's terms in ascending packed order,
+        then j, then F_j's terms, and drop |c| <= FLOAT_DROP_TOL once at the
+        end.  v_i truncated to k is v_i at order k, so a new order is first
+        cut from the lowest cached higher order that holds imax
+        coefficients: the recovery loop's low orders then reuse the
+        coefficients computed for the full jet instead of running the
+        derivative recursion again.
         """
         vs = self._vcache.get(k)
         if vs is None:
@@ -67,13 +78,12 @@ class VectorFieldJet:
             else:
                 vs = [PolyMap(self.field.coords, k)]
             self._vcache[k] = vs
-        while len(vs) < imax:
-            prev = vs[-1]
-            nxt = [combine_trunc(self.n, self.mode,
-                                 [(1, coord.partial(j).mul_trunc(f_j, k))
-                                  for j, f_j in enumerate(self.field.coords)], k)
-                   for coord in prev.coords]
-            vs.append(PolyMap(nxt, k))
+        if len(vs) < imax:
+            lie = self._lie.get(k)
+            if lie is None:
+                lie = self._lie[k] = LieDerivative(self.field, k)
+            while len(vs) < imax:
+                vs.append(PolyMap([lie.apply(coord) for coord in vs[-1].coords], k))
         return vs[:imax]
 
     def __repr__(self):

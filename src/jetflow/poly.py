@@ -7,18 +7,24 @@ coordinate polynomials sharing the same variables and an optional truncation
 order K, and represents a K-jet of a map at the origin.
 
 Products (``*``, mul_trunc, pow_trunc, product_slice for one degree, and
-through them composition) and the sums of scaled products in composition and
-in the flow series run on packed graded keys: each exponent tuple becomes one
-int with the total degree in its top field (Monagan and Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007), so that multiplying monomials is one integer addition and truncation
-one comparison.  Exact
-coefficients there are integer numerators over one common denominator per
-polynomial, so a Fraction is built once per output term.  ``.terms`` stays
-the tuple-keyed view; products in both scalar modes build it on first
-access.  Exact division, by one polynomial (divide_exact) or coordinatewise
-by a vector (common_quotient), reduces by a single divisor in graded-lex
-order (Cox, Little and O'Shea, "Ideals, Varieties, and Algorithms", 2.3).
+through them composition), the sums of scaled products in composition and
+in the flow series, and the Lie derivative of a vector field (LieDerivative,
+one fused step per flow coefficient) run on packed graded keys: each
+exponent tuple becomes one int with the total degree in its top field
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007), so that multiplying monomials is one
+integer addition and truncation one comparison.  Exact coefficients there
+are integer numerators over one common denominator per polynomial, so a
+Fraction is built once per output term.  Float sums run in a documented
+order and drop |c| <= FLOAT_DROP_TOL once per result: a product in
+ascending order of its operands' terms, a Lie derivative step in ascending
+order of p's terms, then j, then F_j's terms.  ``.terms`` stays the
+tuple-keyed view; products in both scalar modes build it on first access,
+and the degree, zero, homogeneity and truncation queries read the packed
+form while it is unbuilt.  Exact division, by one polynomial (divide_exact)
+or coordinatewise by a vector (common_quotient), reduces by a single divisor
+in graded-lex order (Cox, Little and O'Shea, "Ideals, Varieties, and
+Algorithms", 2.3).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -26,7 +32,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import itemgetter
 
@@ -174,10 +180,13 @@ class MultiPoly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not (self._packed[1] if self._terms is None else self._terms)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
+        if self._terms is None:
+            bits, keys, _, _ = self._packed
+            return keys[-1] >> self.nvars * bits if keys else -1
         return max(map(mono_deg, self.terms), default=-1)
 
     def min_degree(self):
@@ -195,7 +204,11 @@ class MultiPoly:
         return _max_nan(map(abs, self.terms.values()), _coerce(0, self.mode))
 
     def is_homogeneous(self, d=None):
-        degs = set(map(mono_deg, self.terms))
+        if self._terms is None:
+            bits, keys, _, _ = self._packed  # sorted: the degree is lowest first, highest last
+            degs = {key >> self.nvars * bits for key in keys[:1] + keys[-1:]}
+        else:
+            degs = set(map(mono_deg, self.terms))
         if not degs:
             return True
         if len(degs) > 1:
@@ -282,6 +295,9 @@ class MultiPoly:
 
     def truncate(self, k):
         """Drop all terms of total degree > k (and tiny float coefficients)."""
+        if self._terms is None and self.degree() <= k and (
+                self.mode == EXACT or not any(abs(c) <= FLOAT_DROP_TOL for c in self._packed[2])):
+            return self  # a packed product with nothing to drop stays packed
         if self.mode == FLOAT:
             # `not ... <=` rather than `>` keeps NaN coefficients visible to callers.
             out = {m: c for m, c in self.terms.items()
@@ -508,6 +524,63 @@ def _product(a, b, k, drop, lo=0, bits=None):
                 key = key1 + key2
                 sums[key] = get(key, 0) + v1 * v2
     return _from_sums(n, mode, bits, sums, den1 * den2, drop)
+
+
+class LieDerivative:
+    """j^k of the Lie derivative (F . grad) p = sum_j F_j dp/dx_j, on packed keys,
+    for a field F with F(0) = 0 (so that terms of p above k contribute nothing).
+
+    One sparse matrix-vector step of the Carleman operator of F (Carleman,
+    Acta Math. 59, 1932), without a derivative or a product polynomial in
+    between.  The table is built once per field and order: for each j, F_j's
+    packed keys minus key(x_j) at k's width, its numerators over one common
+    denominator for the whole field (exact mode), and for each degree the
+    prefix of terms f with that degree - 1 + deg f <= k.  A term c x^m of p
+    with m_j >= 1 then adds m_j * c * a to the key key(m) + key(f) - key(x_j)
+    for each term a x^f of F_j: packed keys are linear in the exponents, so
+    that sum is the key of m - e_j + f.  Sums run in one dict, p's terms in
+    ascending packed order, then j ascending, then F_j's terms ascending;
+    float sums drop |c| <= FLOAT_DROP_TOL once, at the end.
+    """
+
+    def __init__(self, field, k):
+        n = self.nvars = field.nvars
+        self.mode, self.k = field.mode, k
+        self.bits = bits = k.bit_length() + 1
+        shift = n * bits
+        packs = [_pack(f, bits) for f in field.coords]
+        self.den = math.lcm(*(pack[3] for pack in packs))
+        self.rows = []
+        for j, (_, keys, values, den) in enumerate(packs):
+            at = (n - 1 - j) * bits
+            e_j = 1 << shift | 1 << at
+            scale = self.den // den
+            pairs = [(key - e_j, v * scale) for key, v in zip(keys, values)]
+            degrees = [key >> shift for key in keys]
+            # a term of p of degree d meets the terms f with deg f <= k + 1 - d
+            by_degree = [pairs[:bisect_right(degrees, k + 1 - d)] for d in range(k + 1)]
+            self.rows.append((at, by_degree))
+
+    def apply(self, p):
+        """j^k((F . grad) p), for p in F's variables and scalar mode."""
+        n, bits = self.nvars, self.bits
+        if p.nvars != n or p.mode != self.mode:
+            raise ValueError(f"the Lie derivative needs {self.mode} polynomials in {n} variables")
+        shift, mask = n * bits, (1 << bits) - 1
+        _, keys, values, den = _pack(p, bits)
+        cut = bisect_left(keys, (self.k + 1) << shift)
+        sums = {}
+        get = sums.get
+        for key, c in zip(keys[:cut], values[:cut]):
+            d = key >> shift
+            for at, by_degree in self.rows:
+                m_j = key >> at & mask
+                if m_j:
+                    c_j = m_j * c
+                    for offset, a in by_degree[d]:
+                        out = key + offset
+                        sums[out] = get(out, 0) + c_j * a
+        return _from_sums(n, self.mode, bits, sums, den * self.den, FLOAT_DROP_TOL)
 
 
 def product_slice(a, b, d, k):
@@ -802,7 +875,8 @@ def common_quotient(nums, dens):
     """The one q with q * dens[j] = nums[j] for every coordinate j.
 
     Divides the first coordinate with a nonzero divisor by divide_exact and
-    checks the others by multiplying back.  Raises NotDivisibleError when no
+    checks the others by multiplying back, comparing packed terms (see _pack)
+    so that no Fraction is built.  Raises NotDivisibleError when no
     such q exists, ZeroDivisionError when every divisor is zero.
     """
     pairs = list(zip(nums, dens, strict=True))
@@ -814,8 +888,14 @@ def common_quotient(nums, dens):
     except NotDivisibleError:
         raise NotDivisibleError(
             f"coordinate {num} is not a polynomial multiple of {den}") from None
-    if any(q * d != n for n, d in pairs):
-        raise NotDivisibleError("no single polynomial factor works for every coordinate")
+    for n, d in pairs:
+        if n is num and d is den:
+            continue
+        # packed forms at one width are canonical: equal keys, numerators
+        # and denominator mean equal polynomials
+        k = max(q.degree() + d.degree(), n.degree(), 0)
+        if _product(q, d, k, 0.0)._packed[1:] != _pack(n, k.bit_length() + 1)[1:]:
+            raise NotDivisibleError("no single polynomial factor works for every coordinate")
     return q
 
 

@@ -17,7 +17,9 @@ degree-(p+l) slice of Phi(x, sigma_{l-1}) is a sum of slice products of
 known factors (poly.product_slice).  omega_l enters that degree only through
 v_1 sigma = P omega_l + ..., so each order costs one degree of product work
 and a whole recovery about as much as one shift jet at order K.  The slice
-sizes of h - Phi(x, sigma) come out on the way (RecoveryResult.residuals).
+sizes of h - Phi(x, sigma) come out on the way (RecoveryResult.residuals);
+in exact mode a successful division has already proved v = P omega_l, so
+that degree's residual is 0 without forming P omega_l again.
 Nothing is composed with h, except once in float mode with p = 1: there h
 is first moved by the flow for time -omega_0, which leaves a shift function
 of order >= 1.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 from operator import itemgetter
 
 from . import config
@@ -307,13 +310,18 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
         v = PolyMap([combine_trunc(n, mode, pairs, k) for pairs in terms])
         omegas.append(divide_by_initial_part(v, field.P, l, tol))
         omega = omegas[l].poly
-        # the degree-d slice of h - Phi(x, sigma + omega_l)
-        rest = PolyMap([
-            combine_trunc(n, mode, [(1, v_j), (-1, product_slice(q.poly, omega, d, k))], k)
-            for v_j, q in zip(v.coords, field.P)])
-        residuals.append(rest.max_abs_coeff())
-        if d < k and not residuals[-1] <= bound:
-            raise _differs(omegas, l + 1, d, rest)
+        if mode == EXACT:
+            # the division proved v = P * omega_l: h - Phi(x, sigma + omega_l)
+            # vanishes at degree d
+            residuals.append(Fraction(0))
+        else:
+            # the degree-d slice of h - Phi(x, sigma + omega_l)
+            rest = PolyMap([
+                combine_trunc(n, mode, [(1, v_j), (-1, product_slice(q.poly, omega, d, k))], k)
+                for v_j, q in zip(v.coords, field.P)])
+            residuals.append(rest.max_abs_coeff())
+            if d < k and not residuals[-1] <= bound:
+                raise _differs(omegas, l + 1, d, rest)
         if not omega.is_zero():
             pows[1] = pows[1] + omega
             order = min(order, l)

@@ -22,8 +22,9 @@ from jetflow import VectorFieldJet, flow_time_jet, recover_shift_jet, shift_jet
 from jetflow.config import DELTA0_TOL, FLOAT_DROP_TOL
 from jetflow.errors import InconsistentJetError, NotDivisibleError
 from jetflow.linalg import RatMatrix, minimal_polynomial
-from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, common_quotient, compose,
-                          divide_exact, monomials_of_degree, product_slice)
+from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, bivariate_homog_gcd,
+                          common_quotient, compose, divide_exact, monomials_of_degree,
+                          product_slice)
 from jetflow.recover import delta0_linear, divide_by_initial_part
 from jetflow.univar import count_real_roots, rational_roots, squarefree_decomposition
 
@@ -306,6 +307,39 @@ def test_squarefree_decomposition_matches_sympy(poly):
 
 
 @st.composite
+def binary_form_pairs(draw):
+    """f = c a and g = c b for homogeneous binary forms c != 0, a and b (of
+    degrees 0-3, a or b possibly zero)."""
+    degree = st.integers(0, 3)
+    common = draw(homogs(2, draw(degree), nonzero=True))
+    return tuple(common * draw(homogs(2, draw(degree))) for _ in range(2))
+
+
+def sympy_normalized_gcd(f, g):
+    """sympy.gcd of f and g scaled to integer content 1 with a positive
+    coefficient on the lexicographically largest monomial."""
+    _, q = sympy.gcd(to_sympy(f), to_sympy(g)).clear_denoms(convert=True)
+    q = q.primitive()[1]
+    return -q if q.LC() < 0 else q
+
+
+@ORACLE
+@given(pair=binary_form_pairs())
+@example(pair=(X0 ** 3 * X1, X0 ** 2 * X1 ** 2))
+@example(pair=(MultiPoly.zero(2), X0 * X1.scale(Fraction(-2, 3))))
+def test_bivariate_homog_gcd_matches_sympy(pair):
+    f, g = pair
+    if f.is_zero() and g.is_zero():
+        with pytest.raises(ValueError):
+            bivariate_homog_gcd(f, g)
+        return
+    expected = sympy_normalized_gcd(f, g)
+    got = bivariate_homog_gcd(f, g)
+    assert got.poly.terms == from_sympy(expected, 2)
+    assert got.degree == expected.total_degree()
+
+
+@st.composite
 def rational_matrices(draw):
     """S J S^-1 with J block diagonal of Jordan blocks whose eigenvalues
     repeat, and S a product of unit triangular integer matrices."""
@@ -346,6 +380,120 @@ def test_minimal_polynomial_matches_sympy(mat):
     rows = [[Fraction(int(mat[i, j].p), int(mat[i, j].q)) for j in range(mat.cols)]
             for i in range(mat.rows)]
     assert minimal_polynomial(RatMatrix(rows)) == coeff_list(sympy_minimal_polynomial(mat))
+
+
+# -- flow coefficients and the time-c flow of a nonlinear field ---------------
+
+def sympy_truncate(p, k):
+    return sympy.Poly.from_dict({m: c for m, c in p.as_dict().items() if sum(m) <= k},
+                                *p.gens, domain=sympy.QQ)
+
+
+def sympy_lie_step(field, v, k):
+    """j^k of sum_j F_j dv/dx_j by sympy.diff, F a list of sympy Polys."""
+    out = sympy.Poly(0, *v.gens, domain=sympy.QQ)
+    for f_j, x_j in zip(field, v.gens):
+        out += f_j * sympy.diff(v, x_j)
+    return sympy_truncate(out, k)
+
+
+def sympy_flow_coeffs(fmap, imax, k):
+    """v_1 = F, v_{i+1} = (F . grad) v_i, each cut at k (F(0) = 0, so the
+    Lie derivative never lowers a degree and the cut may come early)."""
+    field = [to_sympy(c) for c in fmap.coords]
+    vs = [[sympy_truncate(f, k) for f in field]]
+    while len(vs) < imax:
+        vs.append([sympy_lie_step(field, v, k) for v in vs[-1]])
+    return [[from_sympy(v, fmap.nvars) for v in coords] for coords in vs]
+
+
+# K on both sides of every edge of the packing width k.bit_length() + 1
+PACKING_EDGES = (3, 4, 7, 8, 15, 16)
+
+
+@st.composite
+def flow_fields(draw):
+    """(F, imax, K): F(0) = 0 in 1-4 variables, with 1-3 terms of degree 1-3
+    per coordinate and at most one of degree K+1..K+2 (above K)."""
+    nvars, k = draw(st.integers(1, 4)), draw(st.sampled_from(PACKING_EDGES))
+    low = st.dictionaries(monos(nvars, 3, 1), COEFFS.filter(bool), min_size=1, max_size=3)
+    high = st.dictionaries(monos(nvars, k + 2, k + 1), COEFFS, max_size=1)
+    fmap = PolyMap([MultiPoly(nvars, {**draw(high), **draw(low)}) for _ in range(nvars)])
+    return fmap, draw(st.integers(1, 4)), k
+
+
+def _float_gap(got, want):
+    return max((abs(got.coefficient(m) - float(want.coefficient(m)))
+                for m in set(got.terms) | set(want.terms)), default=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=flow_fields())
+# every F_j free of x_j, and terms above K
+@example(case=(PolyMap([MultiPoly(2, {(0, 2): 1, (0, 5): 2}), MultiPoly(2, {(3, 0): -1})]), 3, 3))
+@example(case=(PolyMap([MultiPoly(3, {(0, 1, 1): Fraction(1, 2)}), MultiPoly(3, {(1, 0, 0): 3}),
+                        MultiPoly(3, {(2, 0, 0): -1, (0, 0, 17): 1})]), 3, 16))
+def test_flow_coeffs_match_sympy(case):
+    fmap, imax, k = case
+    expected = sympy_flow_coeffs(fmap, imax, k)
+    fresh = VectorFieldJet(fmap).flow_coeffs(imax, k)
+    assert [[c.terms for c in v.coords] for v in fresh] == expected
+    # the cache-cut path: order K cut from the coefficients at K + 2
+    field = VectorFieldJet(fmap)
+    longer = field.flow_coeffs(imax, k + 2)
+    assert [[c.terms for c in v.coords] for v in longer] == sympy_flow_coeffs(fmap, imax, k + 2)
+    assert [[c.terms for c in v.coords] for v in field.flow_coeffs(imax, k)] == expected
+    # float mode; every nonzero exact coefficient is at least 12^-3, far above FLOAT_DROP_TOL
+    for got, want in zip(VectorFieldJet(fmap.to_float()).flow_coeffs(imax, k), fresh):
+        for got_j, want_j in zip(got.coords, want.coords):
+            assert _float_gap(got_j, want_j) <= 1e-12 * max(1.0, float(want.max_abs_coeff()))
+
+
+def sympy_lie_series(fmap, c, k):
+    """j^k of the time-c flow, x + sum_i c^i / i! (F . grad)^i x, in sympy at
+    rational c: the series of cF at time 1, summed until the bound
+    r^i / i! on term i, r = K |c| sum_j |F_j|_1, puts the tail below 1e-20."""
+    field = [to_sympy(q) * sympy.Rational(c.numerator, c.denominator) for q in fmap.coords]
+    xs = gens(fmap.nvars)
+    term = [sympy.Poly(x, *xs, domain=sympy.QQ) for x in xs]
+    total = list(term)
+    r = k * float(sum(abs(a) for q in fmap.coords for a in q.terms.values()) * abs(c))
+    bound, i = 1.0, 0
+    # past i + 1 > 2r the terms at least halve, so the tail is at most twice the next term
+    while not (i + 1 > 2 * r and bound * r / (i + 1) <= 0.5e-20):
+        i += 1
+        bound *= r / i
+        term = [sympy_lie_step(field, t, k) * sympy.Rational(1, i) for t in term]
+        total = [a + b for a, b in zip(total, term)]
+    return [from_sympy(t, fmap.nvars) for t in total]
+
+
+@st.composite
+def nonlinear_flows(draw):
+    """(F, c, K): F(0) = 0 in 1-2 variables with a term of degree 2 or 3."""
+    nvars = draw(st.integers(1, 2))
+    small = st.fractions(-1, 1, max_denominator=4).filter(bool)
+    coords = [dict(draw(st.dictionaries(monos(nvars, 3, 1), small, max_size=2)))
+              for _ in range(nvars)]
+    coords[0][draw(monos(nvars, 3, 2))] = draw(small)
+    return (PolyMap([MultiPoly(nvars, t) for t in coords]),
+            draw(st.fractions(-1, 1, max_denominator=4).filter(bool)), draw(st.integers(2, 5)))
+
+
+SLOW_FIELD = PolyMap([MultiPoly(2, {(1, 0): Fraction(-4, 1000), (0, 2): Fraction(1, 1000)}),
+                      MultiPoly(2, {(0, 1): Fraction(3, 1000), (1, 1): Fraction(1, 1000)})])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(case=nonlinear_flows())
+@example(case=(SLOW_FIELD, Fraction(1000), 6))
+def test_flow_time_jet_matches_sympy_lie_series(case):
+    fmap, c, k = case
+    expected = sympy_lie_series(fmap, c, k)
+    size = max(abs(float(a)) for terms in expected for a in terms.values())
+    got = flow_time_jet(VectorFieldJet(fmap.to_float()), float(c), k)
+    for got_j, want in zip(got.coords, expected):
+        assert _float_gap(got_j, MultiPoly(fmap.nvars, want)) <= 1e-10 * max(1.0, size)
 
 
 # -- recovery along closed-form flows -----------------------------------------
