@@ -5,13 +5,17 @@ x + v_1(x) t + v_2(x) t^2/2! + ..., with v_1 = F and v_{i+1} the directional
 derivative of v_i along F.  Substituting a function alpha(x) for t gives the
 shift map x -> Phi(x, alpha(x)); for a field of flat order p the order bound
 j^{i(p-1)}(v_i) = 0 makes every K-jet of a shift a finite computation.
-Every flow jet here comes from that one series, VectorFieldJet.flow_coeffs:
-the shift jet is the hatted shift with h = id, and the float time-c flow
-sums the series of a time-scaled field and squares the result.  Each
-coefficient is one step of the field's Lie derivative on packed keys
-(poly.LieDerivative), in both scalar modes: one sum per coordinate, over
-v_i's terms in ascending packed order, then j ascending, then F_j's terms
+Every flow jet here is a sum over the Lie powers (F . grad)^i w of a base
+map w, each power one step of the field's Lie derivative on packed keys
+(poly.LieDerivative), in both scalar modes: one sum per coordinate, over the
+map's terms in ascending packed order, then j ascending, then F_j's terms
 ascending, with float terms |c| <= FLOAT_DROP_TOL dropped once, at the end.
+The shift jet is the hatted shift with h = id, over the cached flow
+coefficients v_i = (F . grad)^i x (VectorFieldJet.flow_coeffs).  The float
+time-c flow sums the Lie series of a time-scaled field in one combine_trunc
+per coordinate and squares the result; a float shift by c + b(x) for p = 1
+then sums b^i / i! over the Lie powers of that flow (a flow commutes with
+its own Lie derivative), so that it composes nothing with h = id.
 """
 
 from __future__ import annotations
@@ -79,12 +83,17 @@ class VectorFieldJet:
                 vs = [PolyMap(self.field.coords, k)]
             self._vcache[k] = vs
         if len(vs) < imax:
-            lie = self._lie.get(k)
-            if lie is None:
-                lie = self._lie[k] = LieDerivative(self.field, k)
+            lie = self.lie_derivative(k)
             while len(vs) < imax:
                 vs.append(PolyMap([lie.apply(coord) for coord in vs[-1].coords], k))
         return vs[:imax]
+
+    def lie_derivative(self, k):
+        """The field's poly.LieDerivative at order k, built once per order."""
+        lie = self._lie.get(k)
+        if lie is None:
+            lie = self._lie[k] = LieDerivative(self.field, k)
+        return lie
 
     def __repr__(self):
         return f"VectorFieldJet(p={self.p}, field={self.field})"
@@ -154,7 +163,8 @@ def shift_jet(field, alpha, k):
     """j^K of the shift map x -> Phi(x, alpha(x)), the hatted shift with h = id.
 
     For p = 1 a nonzero alpha(0) is transcendental in exact mode (rejected);
-    in float mode it is reduced through the constant-time flow map.
+    in float mode the sum runs over the Lie powers of the time-alpha(0) flow,
+    and nothing is composed (see hatted_shift_jet).
     """
     if alpha.nvars != field.n:
         raise ValueError("alpha must live in the field's variables")
@@ -167,12 +177,27 @@ def shift_jet(field, alpha, k):
     return hatted_shift_jet(field, PolyMap.identity(field.n, field.mode, k), alpha, k)
 
 
+def _lie_powers(lie, coords):
+    """The coordinates of (F . grad)^i w for i = 1, 2, ..., w given by ``coords``."""
+    while True:
+        coords = [lie.apply(q) for q in coords]
+        yield coords
+
+
 def hatted_shift_jet(field, h, beta, k):
     """j^K of x -> Phi(h(x), beta(x)) for a map h vanishing at the origin.
 
-    beta(0) != 0 is allowed whenever the jet sum is finite: always for p >= 2,
-    and for p = 1 in float mode via the constant-time flow.  Exact mode with
-    p = 1 and beta(0) != 0 is rejected.
+    Phi(h, beta) = h + sum_i beta^i / i! (v_i o h) over the flow
+    coefficients v_i; term i has order >= i (p - 1 + ord beta), so the sum
+    is finite when p >= 2 or beta(0) = 0.  For p = 1 and c = beta(0) != 0
+    (float mode only; exact mode rejects it, the time-c flow being
+    transcendental) the sum runs over b = beta - c instead:
+    Phi(h, c + b) = sum_i b^i / i! (w_i o h), with w_0 = Phi_c from
+    flow_time_jet and w_i = (F . grad)^i Phi_c, each one step of the field's
+    cached Lie derivative at order K.  A flow commutes with its own Lie
+    derivative: the i-th s-derivative of Phi_c(Phi_s(y)) at s = 0 is
+    ((F . grad)^i Phi_c)(y).  One Substituter(h) serves w_0 and every w_i,
+    h = id composes nothing, and b = 0 leaves Phi_c o h.
     """
     if not h.vanishes_at_origin():
         raise ValueError("h must vanish at the origin")
@@ -181,32 +206,38 @@ def hatted_shift_jet(field, h, beta, k):
     if beta.mode != field.mode or h.mode != field.mode:
         raise ValueError("scalar-mode mismatch")
     c = beta.constant_term()
+    flow = None
     if c != 0 and field.p == 1:
         if field.mode == EXACT:
             raise ValueError(
                 "p=1 with beta(0) != 0 is not exactly computable; "
                 "normalize the input or use float mode")
-        base = compose(flow_time_jet(field, c, k), h, k)
-        return hatted_shift_jet(field, base, beta - c, k)
-    if beta.is_zero():
+        flow = flow_time_jet(field, c, k)
+        beta = beta - c
+        if beta.is_zero():
+            return compose(flow, h, k)
+    elif beta.is_zero():
         return h.truncate(k)
-    # Term i has order >= i*((p-1) + ord beta); p = 1 with beta(0) != 0 returned above.
+    # Term i has order >= i*((p-1) + ord beta), and beta(0) = 0 when p = 1.
     imax = k // (field.p - 1 + int(beta.min_degree()))
-    vs = field.flow_coeffs(imax, k) if imax >= 1 else []
     sub = Substituter(h, k)
+    if flow is None:
+        w_0 = h.truncate(k).coords
+        ws = [v.coords for v in field.flow_coeffs(imax, k)] if imax >= 1 else []
+    else:
+        w_0 = map(sub.apply, flow.coords)
+        ws = _lie_powers(field.lie_derivative(k), flow.coords)
     # sums[j] lists the (c, poly) pairs whose sum c * poly is coordinate j.
-    sums = [[(1, coord.truncate(k))] for coord in h.coords]
+    sums = [[(1, q)] for q in w_0]
     beta_pow = MultiPoly.const(field.n, 1, field.mode)
-    for i in range(1, imax + 1):
+    for i, w in zip(range(1, imax + 1), ws):
         beta_pow = beta_pow.mul_trunc(beta, k)
         if beta_pow.is_zero():
             break
         inv_fact = _inv_factorial(i, field.mode)
-        for j in range(field.n):
-            if vs[i - 1].coords[j].is_zero():
-                continue
-            term = sub.apply(vs[i - 1].coords[j]).mul_trunc(beta_pow, k)
-            sums[j].append((inv_fact, term))
+        for pairs, w_j in zip(sums, w):
+            if not w_j.is_zero():
+                pairs.append((inv_fact, sub.apply(w_j).mul_trunc(beta_pow, k)))
     return PolyMap([combine_trunc(field.n, field.mode, pairs, k) for pairs in sums], k)
 
 
@@ -216,20 +247,30 @@ def hatted_shift_jet(field, h, beta, k):
 _SERIES_RADIUS = 16.0
 
 
-def _check_finite(coords, c):
-    if not all(math.isfinite(v) for p in coords for v in p.terms.values()):
+def _largest(coords, c):
+    """The largest |coefficient| of a float jet; raises when one is not finite."""
+    size = PolyMap(coords).max_abs_coeff()
+    if not math.isfinite(size):
         raise ValueError(f"flow integration blew up before time {c}")
+    return size
 
 
 def flow_time_jet(field, c, k):
     """j^K of the time-c flow map, by scaling and squaring the Lie series.
 
-    Float mode only.  Phi_s, the flow of F at time s = c / 2^m, is the flow
-    of sF at time 1: x + sum w_i / i! over the flow coefficients w_i of sF.
-    m is the fewest halvings that bring |s| * K * max|F| to at most 16; the
-    group law Phi_2s = Phi_s o Phi_s is then applied m times.  The sum stops
-    at the first term past index |s| * K * max|F| whose coefficients all lie
-    below 2^-53 times the largest coefficient of the partial sum.
+    Float mode only.  Phi_s, the flow of F at time s = c / 2^m, is
+    x + sum_i t_i / i! with t_i = (sF . grad)^i x: each term is one step of
+    a poly.LieDerivative of sF from the last, and each coordinate is summed
+    by one combine_trunc over the pairs (1/i!, t_i).  m is the fewest
+    halvings that bring |s| * K * max|F| to at most 16; the group law
+    Phi_2s = Phi_s o Phi_s is then applied m times.  The sum stops at the
+    first term past index |s| * K * max|F| whose coefficients all lie below
+    2^-53 times the largest coefficient of the partial sum.  Each term's
+    largest coefficient is read from its packed form and held against a bar,
+    the largest of 1 (the identity's) and the earlier terms'; the partial sum
+    is formed only where a term passes the bar, to confirm the stop, and a
+    partial sum that refutes it becomes the bar.  Every term, and the result
+    of every squaring, is checked to be finite.
     """
     if field.mode != FLOAT:
         raise ValueError("flow_time_jet is available in float mode only")
@@ -241,26 +282,27 @@ def flow_time_jet(field, c, k):
     while abs(math.ldexp(c, -m)) * rate > _SERIES_RADIUS:
         m += 1
     s = math.ldexp(c, -m)
-    current = PolyMap.identity(field.n, FLOAT, k)
-    scaled_coords = [p.scale(s) for p in field.field.coords]
-    if all(p.is_zero() for p in scaled_coords):
-        return current
-    scaled = VectorFieldJet(PolyMap(scaled_coords))
-    coords = list(current.coords)
-    inv_fact = 1.0
+    lie = LieDerivative(PolyMap([p.scale(s) for p in field.field.coords]), k)
+    term = PolyMap.identity(field.n, FLOAT, k).coords
+    sums = [[(1.0, x)] for x in term]
+    inv_fact = bar = 1.0
     for i in itertools.count(1):
         inv_fact /= i
-        term = [p.scale(inv_fact) for p in scaled.flow_coeffs(i, k)[-1].coords]
-        coords = [a + b for a, b in zip(coords, term)]
-        _check_finite(coords, c)
-        if (i >= abs(s) * rate and max(float(p.max_abs_coeff()) for p in term)
-                <= 2.0 ** -53 * max(float(p.max_abs_coeff()) for p in coords)):
-            break
-    current = PolyMap(coords, k)
+        term = [lie.apply(p) for p in term]
+        size = _largest(term, c) * inv_fact
+        for pairs, t in zip(sums, term):
+            pairs.append((inv_fact, t))
+        if i >= abs(s) * rate and size <= 2.0 ** -53 * bar:
+            flow = [combine_trunc(field.n, FLOAT, pairs, k) for pairs in sums]
+            bar = _largest(flow, c)
+            if size <= 2.0 ** -53 * bar:
+                break
+        bar = max(bar, size)
+    flow = PolyMap(flow, k)
     for _ in range(m):
-        current = compose(current, current, k)
-        _check_finite(current.coords, c)
-    return current
+        flow = compose(flow, flow, k)
+        _largest(flow.coords, c)
+    return flow
 
 
 def jet_inverse(h, k):

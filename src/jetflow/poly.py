@@ -200,7 +200,13 @@ class MultiPoly:
         return self.terms.get(tuple(mono), _coerce(0, self.mode))
 
     def max_abs_coeff(self):
-        """Largest |coefficient|: 0 for the zero polynomial, NaN if any is NaN."""
+        """Largest |coefficient|: 0 for the zero polynomial, NaN if any is NaN.
+
+        Reads the packed form while ``.terms`` is unbuilt."""
+        if self._terms is None:
+            _, _, values, den = self._packed
+            largest = _max_nan(map(abs, values), 0)
+            return Fraction(largest, den) if self.mode == EXACT else float(largest)
         return _max_nan(map(abs, self.terms.values()), _coerce(0, self.mode))
 
     def is_homogeneous(self, d=None):

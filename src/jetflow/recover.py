@@ -28,6 +28,7 @@ of order >= 1.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
@@ -153,7 +154,10 @@ def delta0_linear(a, l_mat, tol=None):
     Each start, in order of |t|, is polished by 1-D Newton on
     t -> ||e^{Lt} - A||_F^2, and the first within the tolerance and the
     window is returned.  Raises NotOnSubgroupError, carrying the closest
-    polished t and its distance, when none is.
+    polished t and its distance, when none is.  For |t| <= DELTA0_WINDOW = W,
+    ||e^{Lt} - A||_F is at least sqrt(sum_j max(0, ||B_jj| - 1| -
+    expm1(W |Re lambda_j|))^2); when that floor exceeds the tolerance, only
+    the first start is polished before the error is raised.
     """
     import numpy as np
     from scipy.linalg import expm, schur
@@ -171,7 +175,11 @@ def delta0_linear(a, l_mat, tol=None):
         tri, q = schur(l_arr, output="complex")
         scale = np.linalg.norm(l_arr)
         key, starts = None, [np.sum(l_arr * (a_mat - np.eye(len(l_arr)))) / scale ** 2]
+        floor = 0.0
         for lam, mu in zip(np.diag(tri), np.diag(q.conj().T @ a_mat @ q)):
+            if np.isfinite(mu):
+                # |t| <= window keeps |e^{lambda t}| within expm1(window |Re lambda|) of 1
+                floor += max(0.0, abs(abs(mu) - 1) - np.expm1(window * abs(lam.real))) ** 2
             # below 1e-10 ||L||_F an eigenvalue, and below 1e-10 |lambda| a
             # real part, is zero up to rounding
             if abs(lam) <= 1e-10 * scale or not np.isfinite(mu):
@@ -188,6 +196,9 @@ def delta0_linear(a, l_mat, tol=None):
                 ts, lam_key = _branches(base, -period if base >= 0 else period, n), (n, 0.0)
             if key is None or lam_key < key:
                 key, starts = lam_key, ts
+        if math.sqrt(floor) > bound:
+            # no t in the window comes close enough: the first start names the closest
+            starts = itertools.islice(starts, 1)
 
         def distance(u):
             dist = float(np.linalg.norm(expm(l_arr * u) - a_mat))

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -153,6 +156,23 @@ def test_cli_long_float_flow_ends_in_envelope(capsys):
     assert code == 1
     assert doc["ok"] is False
     assert "blew up" in doc["error"]["detail"]
+
+
+def test_cli_float_shift_jet_imports_neither_numpy_nor_scipy():
+    # a float shift with alpha(0) != 0 runs the time-c flow in plain Python,
+    # so the cold command pays no numpy or scipy import
+    script = (
+        "import sys\n"
+        "from jetflow import cli\n"
+        "code = cli.run(['shift-jet', '-F', '-x+y^2, -2*y', '-a', '1/2', '-K', '3',"
+        " '--float', '--json'])\n"
+        "print(code, sorted({'numpy', 'scipy'} & set(sys.modules)))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_cli_float_overflow_ends_in_envelope(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -82,6 +83,19 @@ def test_delta0_not_on_subgroup():
         delta0_linear([[2.0, 0.0], [0.0, 3.0]], rot)
     with pytest.raises(ValueError):
         delta0_linear(np.eye(2), [[0.0, 0.0], [0.0, 0.0]])
+
+
+def test_delta0_refuses_a_matrix_off_the_unit_circle_quickly():
+    # two rotations with the irrational frequency ratio 1.4142 give about
+    # 100 * 1000 / pi branches; |e^{Lt}| stays 1 on the diagonal, so no t
+    # comes within 2 of A = 2I and only the first branch is polished
+    l_mat = np.zeros((4, 4))
+    l_mat[0, 1], l_mat[1, 0] = -1000.0, 1000.0
+    l_mat[2, 3], l_mat[3, 2] = -1414.2, 1414.2
+    start = time.perf_counter()
+    with pytest.raises(NotOnSubgroupError, match=r"closest t = 0\.0 at distance 2\.000e\+00"):
+        delta0_linear(2.0 * np.eye(4), l_mat)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_delta0_keeps_a_start_newton_would_lose():
