@@ -1,8 +1,9 @@
 """Numeric knobs for float-mode computations.
 
-All exact-mode code paths ignore these.  The float time-c flow map has no
-knob: jet.flow_time_jet derives its halving count and series length from c,
-K and the field's coefficients.  The environment variable
+All exact-mode code paths ignore these.  Float polynomials keep every
+nonzero coefficient, and the float time-c flow map has no knob:
+jet.flow_time_jet derives its halving count and series length from c, K and
+the field's coefficients.  The environment variable
 JETFLOW_FLOAT_TOL, when set, overrides both the residual and the subgroup
 matching tolerances at import-free call time (it is read on each access so
 tests can monkeypatch the environment).
@@ -11,10 +12,6 @@ tests can monkeypatch the environment).
 from __future__ import annotations
 
 import os
-
-# Coefficients with absolute value at or below this are dropped from float
-# polynomials after every truncation; keeps float jets sparse.
-FLOAT_DROP_TOL = 1e-12
 
 # Coefficientwise tolerance for float residual checks (recovery, verify).
 RESIDUAL_TOL = 1e-8

@@ -9,7 +9,7 @@ Every flow jet here is a sum over the Lie powers (F . grad)^i w of a base
 map w, each power one step of the field's Lie derivative on packed keys
 (poly.LieDerivative), in both scalar modes: one sum per coordinate, over the
 map's terms in ascending packed order, then j ascending, then F_j's terms
-ascending, with float terms |c| <= FLOAT_DROP_TOL dropped once, at the end.
+ascending, keeping every nonzero sum.
 The shift jet is the hatted shift with h = id, over the cached flow
 coefficients v_i = (F . grad)^i x (VectorFieldJet.flow_coeffs).  The float
 time-c flow sums the Lie series of a time-scaled field in one combine_trunc
@@ -67,12 +67,11 @@ class VectorFieldJet:
         v_{i+1} = (F . grad) v_i is one fused step of poly.LieDerivative,
         whose table of F's packed keys and numerators is built once per
         order k.  Float sums run over v_i's terms in ascending packed order,
-        then j, then F_j's terms, and drop |c| <= FLOAT_DROP_TOL once at the
-        end.  v_i truncated to k is v_i at order k, so a new order is first
-        cut from the lowest cached higher order that holds imax
-        coefficients: the recovery loop's low orders then reuse the
-        coefficients computed for the full jet instead of running the
-        derivative recursion again.
+        then j, then F_j's terms, and keep every nonzero sum.  v_i truncated
+        to k is v_i at order k, so a new order is first cut from the lowest
+        cached higher order that holds imax coefficients: the recovery
+        loop's low orders then reuse the coefficients computed for the full
+        jet instead of running the derivative recursion again.
         """
         vs = self._vcache.get(k)
         if vs is None:
@@ -188,8 +187,8 @@ def hatted_shift_jet(field, h, beta, k):
     """j^K of x -> Phi(h(x), beta(x)) for a map h vanishing at the origin.
 
     Phi(h, beta) = h + sum_i beta^i / i! (v_i o h) over the flow
-    coefficients v_i; term i has order >= i (p - 1 + ord beta), so the sum
-    is finite when p >= 2 or beta(0) = 0.  For p = 1 and c = beta(0) != 0
+    coefficients v_i; term i has order >= i (p - 1 + ord beta) + 1, so the
+    sum is finite when p >= 2 or beta(0) = 0.  For p = 1 and c = beta(0) != 0
     (float mode only; exact mode rejects it, the time-c flow being
     transcendental) the sum runs over b = beta - c instead:
     Phi(h, c + b) = sum_i b^i / i! (w_i o h), with w_0 = Phi_c from
@@ -218,8 +217,8 @@ def hatted_shift_jet(field, h, beta, k):
             return compose(flow, h, k)
     elif beta.is_zero():
         return h.truncate(k)
-    # Term i has order >= i*((p-1) + ord beta), and beta(0) = 0 when p = 1.
-    imax = k // (field.p - 1 + int(beta.min_degree()))
+    # Term i has order >= i*((p-1) + ord beta) + 1, and beta(0) = 0 when p = 1.
+    imax = (k - 1) // (field.p - 1 + int(beta.min_degree()))
     sub = Substituter(h, k)
     if flow is None:
         w_0 = h.truncate(k).coords
@@ -232,8 +231,6 @@ def hatted_shift_jet(field, h, beta, k):
     beta_pow = MultiPoly.const(field.n, 1, field.mode)
     for i, w in zip(range(1, imax + 1), ws):
         beta_pow = beta_pow.mul_trunc(beta, k)
-        if beta_pow.is_zero():
-            break
         inv_fact = _inv_factorial(i, field.mode)
         for pairs, w_j in zip(sums, w):
             if not w_j.is_zero():

@@ -16,14 +16,14 @@ packed exponent vectors", CASC 2007), so that multiplying monomials is one
 integer addition and truncation one comparison.  Exact coefficients there
 are integer numerators over one common denominator per polynomial, so a
 Fraction is built once per output term.  Float sums run in a documented
-order and drop |c| <= FLOAT_DROP_TOL once per result: a product in
-ascending order of its operands' terms, a Lie derivative step in ascending
-order of p's terms, then j, then F_j's terms.  ``.terms`` stays the
-tuple-keyed view; products in both scalar modes build it on first access,
-and the degree, zero, homogeneity and truncation queries read the packed
-form while it is unbuilt.  Exact division, by one polynomial (divide_exact)
-or coordinatewise by a vector (common_quotient), reduces by a single divisor
-in graded-lex order (Cox, Little and O'Shea, "Ideals, Varieties, and
+order and keep every nonzero sum: a product in ascending order of its
+operands' terms, a Lie derivative step in ascending order of p's terms,
+then j, then F_j's terms.  ``.terms`` stays the tuple-keyed view; products
+in both scalar modes build it on first access, and the degree, zero,
+homogeneity and truncation queries read the packed form while it is
+unbuilt.  Exact division, by one polynomial (divide_exact) or
+coordinatewise by a vector (common_quotient), reduces by a single divisor in
+graded-lex order (Cox, Little and O'Shea, "Ideals, Varieties, and
 Algorithms", 2.3).
 
 All values are immutable after construction and all operations are pure.
@@ -37,7 +37,6 @@ from fractions import Fraction
 from operator import itemgetter
 
 from . import univar
-from .config import FLOAT_DROP_TOL
 from .errors import NotDivisibleError
 
 EXACT = "exact"
@@ -271,14 +270,14 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
             return self.scale(other)
-        return _product(self, other, self.degree() + other.degree(), 0.0)
+        return _product(self, other, self.degree() + other.degree())
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def mul_trunc(self, other, k):
         """Product truncated to total degree <= k (the jet product)."""
-        return _product(self, other, k, FLOAT_DROP_TOL)
+        return _product(self, other, k)
 
     def pow_trunc(self, e, k):
         """e-th power truncated to total degree <= k."""
@@ -300,16 +299,10 @@ class MultiPoly:
     # -- jets --------------------------------------------------------------
 
     def truncate(self, k):
-        """Drop all terms of total degree > k (and tiny float coefficients)."""
-        if self._terms is None and self.degree() <= k and (
-                self.mode == EXACT or not any(abs(c) <= FLOAT_DROP_TOL for c in self._packed[2])):
-            return self  # a packed product with nothing to drop stays packed
-        if self.mode == FLOAT:
-            # `not ... <=` rather than `>` keeps NaN coefficients visible to callers.
-            out = {m: c for m, c in self.terms.items()
-                   if mono_deg(m) <= k and not abs(c) <= FLOAT_DROP_TOL}
-        else:
-            out = {m: c for m, c in self.terms.items() if mono_deg(m) <= k}
+        """Drop all terms of total degree > k."""
+        if self._terms is None and self.degree() <= k:
+            return self  # a packed product within the order stays packed
+        out = {m: c for m, c in self.terms.items() if mono_deg(m) <= k}
         if len(out) == len(self.terms):
             return self  # values are immutable; keeps the packed cache
         return MultiPoly._raw(self.nvars, out, self.mode)
@@ -462,15 +455,12 @@ def _pack(p, bits):
     return packed
 
 
-def _from_sums(n, mode, bits, sums, den, drop):
+def _from_sums(n, mode, bits, sums, den):
     """The MultiPoly whose packed terms are ``sums``: key -> numerator over
-    den (exact) or key -> float.  Zero numerators, and floats with |v| <= drop,
-    are left out (NaN stays).  The sorted packed form is kept as the result's
-    cache, and ``.terms`` is built from it on first access."""
-    if mode == EXACT:
-        keys = sorted(key for key, v in sums.items() if v)
-    else:
-        keys = sorted(key for key, v in sums.items() if not abs(v) <= drop)
+    den (exact) or key -> float.  Zero sums are left out (NaN stays).  The
+    sorted packed form is kept as the result's cache, and ``.terms`` is
+    built from it on first access."""
+    keys = sorted(key for key, v in sums.items() if v)
     values = [sums[key] for key in keys]
     if mode == EXACT:
         # Dividing out the gcd leaves den the lcm of the reduced
@@ -490,9 +480,8 @@ def _unpack_keys(n, bits, keys):
     return [tuple([key >> s & mask for s in shifts]) for key in keys]
 
 
-def _product(a, b, k, drop, lo=0, bits=None):
-    """The terms of a*b of total degree lo..k (float terms with |c| <= drop
-    left out).
+def _product(a, b, k, lo=0, bits=None):
+    """The terms of a*b of total degree lo..k.
 
     Runs on packed keys (see _pack), ``bits`` bits per field (at least k's
     width; the default): a caller that takes products of several degrees
@@ -529,7 +518,7 @@ def _product(a, b, k, drop, lo=0, bits=None):
             for key2, v2 in zip(keys2[start:cut], values2[start:cut]):
                 key = key1 + key2
                 sums[key] = get(key, 0) + v1 * v2
-    return _from_sums(n, mode, bits, sums, den1 * den2, drop)
+    return _from_sums(n, mode, bits, sums, den1 * den2)
 
 
 class LieDerivative:
@@ -545,8 +534,8 @@ class LieDerivative:
     with m_j >= 1 then adds m_j * c * a to the key key(m) + key(f) - key(x_j)
     for each term a x^f of F_j: packed keys are linear in the exponents, so
     that sum is the key of m - e_j + f.  Sums run in one dict, p's terms in
-    ascending packed order, then j ascending, then F_j's terms ascending;
-    float sums drop |c| <= FLOAT_DROP_TOL once, at the end.
+    ascending packed order, then j ascending, then F_j's terms ascending,
+    and every nonzero sum is kept.
     """
 
     def __init__(self, field, k):
@@ -586,14 +575,14 @@ class LieDerivative:
                     for offset, a in by_degree[d]:
                         out = key + offset
                         sums[out] = get(out, 0) + c_j * a
-        return _from_sums(n, self.mode, bits, sums, den * self.den, FLOAT_DROP_TOL)
+        return _from_sums(n, self.mode, bits, sums, den * self.den)
 
 
 def product_slice(a, b, d, k):
     """The degree-d slice of a*b, for d <= k, with both operands packed at
     order k's width: slices of every degree up to k reuse one packing of
     each operand (see _product)."""
-    return _product(a, b, d, FLOAT_DROP_TOL, d, k.bit_length() + 1)
+    return _product(a, b, d, d, k.bit_length() + 1)
 
 
 def combine_trunc(n, mode, pairs, k):
@@ -601,8 +590,8 @@ def combine_trunc(n, mode, pairs, k):
     dict of packed keys, in place of a chain of additions.
 
     Exact sums run on integer numerators over one common denominator.  Float
-    sums accumulate in pair order and drop |c| <= FLOAT_DROP_TOL, as
-    truncating a chain of additions would.
+    sums accumulate in pair order.  Both keep every nonzero sum, as a chain
+    of additions would.
     """
     if any(p.nvars != n or p.mode != mode for _, p in pairs):
         raise ValueError(f"combine_trunc needs {mode} polynomials in {n} variables")
@@ -622,7 +611,7 @@ def combine_trunc(n, mode, pairs, k):
         cut = bisect_left(keys, limit)
         for key, v in zip(keys[:cut], values[:cut]):
             sums[key] = get(key, 0) + c * v
-    return _from_sums(n, mode, bits, sums, den, FLOAT_DROP_TOL)
+    return _from_sums(n, mode, bits, sums, den)
 
 
 def as_poly(p):
@@ -900,7 +889,7 @@ def common_quotient(nums, dens):
         # packed forms at one width are canonical: equal keys, numerators
         # and denominator mean equal polynomials
         k = max(q.degree() + d.degree(), n.degree(), 0)
-        if _product(q, d, k, 0.0)._packed[1:] != _pack(n, k.bit_length() + 1)[1:]:
+        if _product(q, d, k)._packed[1:] != _pack(n, k.bit_length() + 1)[1:]:
             raise NotDivisibleError("no single polynomial factor works for every coordinate")
     return q
 

@@ -61,3 +61,12 @@ def quartic_field():
     g = (x ** 2 + y ** 2) * (x ** 2 + y ** 2 * 2)
     _, field = reduced_hamiltonian(g)
     return VectorFieldJet(field)
+
+
+@pytest.fixture
+def slow_field():
+    """(-4x + y^2, 3y + x y) / 1000: a slow p = 1 field whose shifts are large."""
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    return PolyMap([(x.scale(-4) + y * y).scale(Fraction(1, 1000)),
+                    (y.scale(3) + x * y).scale(Fraction(1, 1000))])

@@ -97,6 +97,19 @@ def test_shift_jet_p1_constant_rejected_exact():
         shift_jet(field, alpha, 4)
 
 
+def test_float_shift_of_a_slow_field_matches_exact(slow_field):
+    # F / 1000 shifted by 1000 alpha is the same map as F shifted by alpha,
+    # so no coefficient of the float jet may be lost to its scale
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    alpha = (x + y).scale(1000)
+    want = shift_jet(VectorFieldJet(slow_field), alpha, 6)
+    got = shift_jet(VectorFieldJet(slow_field.to_float()), alpha.to_float(), 6)
+    size = float(want.max_abs_coeff())
+    for got_j, want_j in zip(got.coords, want.coords):
+        for m in set(got_j.terms) | set(want_j.terms):
+            assert abs(got_j.coefficient(m) - float(want_j.coefficient(m))) <= 1e-10 * max(1.0, size)
+
+
 def test_hatted_shift_examples():
     field = scalar_field()
     u = MultiPoly.variable(1, 0)

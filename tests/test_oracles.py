@@ -20,7 +20,7 @@ from scipy.linalg import expm
 
 from jetflow import (VectorFieldJet, flow_time_jet, hatted_shift_jet, recover_shift_jet,
                      shift_jet)
-from jetflow.config import DELTA0_TOL, FLOAT_DROP_TOL
+from jetflow.config import DELTA0_TOL
 from jetflow.errors import InconsistentJetError, NotDivisibleError
 from jetflow.linalg import RatMatrix, minimal_polynomial
 from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, bivariate_homog_gcd,
@@ -213,7 +213,7 @@ def test_common_quotient_matches_sympy(case):
 
 def schoolbook_mul_trunc(a, b, k):
     """The float jet product term by term: operands in (degree, exponents)
-    order, sums in that order, then terms with |c| <= FLOAT_DROP_TOL dropped."""
+    order, sums in that order, then exact zeros dropped."""
     items1 = sorted((sum(m), m, c) for m, c in a.terms.items())
     items2 = sorted((sum(m), m, c) for m, c in b.terms.items())
     out = {}
@@ -222,7 +222,7 @@ def schoolbook_mul_trunc(a, b, k):
             if d1 + d2 <= k:
                 mono = tuple(x + y for x, y in zip(m1, m2))
                 out[mono] = out[mono] + c1 * c2 if mono in out else c1 * c2
-    return {m: c for m, c in out.items() if abs(c) > FLOAT_DROP_TOL}
+    return {m: c for m, c in out.items() if c != 0}
 
 
 FLOATS = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
@@ -444,7 +444,7 @@ def test_flow_coeffs_match_sympy(case):
     longer = field.flow_coeffs(imax, k + 2)
     assert [[c.terms for c in v.coords] for v in longer] == sympy_flow_coeffs(fmap, imax, k + 2)
     assert [[c.terms for c in v.coords] for v in field.flow_coeffs(imax, k)] == expected
-    # float mode; every nonzero exact coefficient is at least 12^-3, far above FLOAT_DROP_TOL
+    # float mode
     for got, want in zip(VectorFieldJet(fmap.to_float()).flow_coeffs(imax, k), fresh):
         for got_j, want_j in zip(got.coords, want.coords):
             assert _float_gap(got_j, want_j) <= 1e-12 * max(1.0, float(want.max_abs_coeff()))
@@ -592,9 +592,7 @@ def test_float_shift_jets_match_sympy_shift_series(case):
     _check_shift_series(case)
 
 
-@pytest.mark.xfail(strict=True, reason="FLOAT_DROP_TOL, ROADMAP item 5")
 def test_slow_field_large_shift_matches_sympy_shift_series():
-    # off by about 6e-4 at coefficients of size about 1.3
     _check_shift_series((SLOW_FIELD, (X0 + X1 + 1) * 100, None, 6))
 
 

@@ -221,10 +221,13 @@ def test_evaluate(xy):
         g.evaluate([1])
 
 
-def test_float_mode_drops_tiny_terms():
+def test_float_mode_keeps_tiny_terms():
     u = MultiPoly.variable(1, 0, FLOAT)
-    f = u + u.scale(1e-15) * u
-    assert f.truncate(3).terms == u.terms
+    f = u + u.scale(1e-15) * u + u ** 4
+    assert f.truncate(3).terms == {(1,): 1.0, (2,): 1e-15}
+    # only a sum that cancels to exactly 0.0 leaves no term
+    assert (f - u).truncate(3).terms == {(2,): 1e-15}
+    assert (1 + u).mul_trunc(1 - u, 3).terms == {(0,): 1.0, (2,): -1.0}
 
 
 def test_string_roundtrip_visual(xy):

@@ -146,6 +146,18 @@ def test_recover_float_p1_round_trip():
     assert abs(w2.coefficient((0, 2))) < 1e-6
 
 
+def test_recover_float_slow_field_accepts_its_exact_shift(slow_field):
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    alpha = (x + y).scale(1000)
+    h = shift_jet(VectorFieldJet(slow_field), alpha, 6).to_float()
+    res = recover_shift_jet(VectorFieldJet(slow_field.to_float()), h, 6)
+    assert res.residual_ok
+    omega_1 = res.omegas[1].poly
+    assert set(omega_1.terms) == {(1, 0), (0, 1)}
+    for c in omega_1.terms.values():
+        assert abs(c - 1000.0) <= 1e-10 * 1000.0
+
+
 def test_recover_float_p3_round_trip(quartic_field):
     field = VectorFieldJet(quartic_field.field.to_float())
     x = MultiPoly.variable(2, 0, FLOAT)
