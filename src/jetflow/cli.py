@@ -97,10 +97,11 @@ def _parse_funcs(text, vars_override):
 
 
 def _parse_matrix(text):
+    """Rows split by ';', entries by ','; each entry is a constant expression."""
     rows = []
     for row_text in text.split(";"):
         entries = [e.strip() for e in row_text.split(",") if e.strip()]
-        rows.append([Fraction(e) for e in entries])
+        rows.append([parse_poly(e, []).constant_term() for e in entries])
     if any(len(r) != len(rows) for r in rows):
         raise UsageError("matrix rows must all have length n")
     return RatMatrix(rows)
@@ -391,7 +392,13 @@ def run(argv, _batches=()):
         for line in lines:
             if not line or line.startswith("#"):
                 continue
-            sub_code = run(shlex.split(line), _batches + (path,))
+            try:
+                argv = shlex.split(line)
+            except ValueError as exc:  # e.g. an unbalanced quote
+                print(f"usage error: {exc} in batch line {line!r}", file=sys.stderr)
+                sub_code = 1
+            else:
+                sub_code = run(argv, _batches + (path,))
             if code == 0:
                 code = sub_code
         return code

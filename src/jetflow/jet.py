@@ -5,17 +5,17 @@ x + v_1(x) t + v_2(x) t^2/2! + ..., with v_1 = F and v_{i+1} the directional
 derivative of v_i along F.  Substituting a function alpha(x) for t gives the
 shift map x -> Phi(x, alpha(x)); for a field of flat order p the order bound
 j^{i(p-1)}(v_i) = 0 makes every K-jet of a shift a finite computation.
-Every flow jet here is a sum over the Lie powers (F . grad)^i w of a base
-map w, each power one step of the field's Lie derivative on packed keys
-(poly.LieDerivative), in both scalar modes: one sum per coordinate, over the
-map's terms in ascending packed order, then j ascending, then F_j's terms
-ascending, keeping every nonzero sum.
-The shift jet is the hatted shift with h = id, over the cached flow
-coefficients v_i = (F . grad)^i x (VectorFieldJet.flow_coeffs).  The float
-time-c flow sums the Lie series of a time-scaled field in one combine_trunc
-per coordinate and squares the result; a float shift by c + b(x) for p = 1
-then sums b^i / i! over the Lie powers of that flow (a flow commutes with
-its own Lie derivative), so that it composes nothing with h = id.
+Every shift jet is one sum Phi(h, c + b) = sum_i b^i / i! (w_i o h) over
+one list w_0 = Phi_c, w_{i+1} = (F . grad) w_i (VectorFieldJet.flow_series;
+a flow commutes with its own Lie derivative).  c = 0 gives w_0 = x and the
+cached flow coefficients w_i = v_i; a float shift with p = 1 takes
+c = beta(0), and w_0 is the float time-c flow, which sums the Lie series of
+a time-scaled field in one combine_trunc per coordinate and squares the
+result.  Each Lie step is one application of the field's Lie derivative on
+packed keys (poly.LieDerivative), in both scalar modes: one sum per
+coordinate, over the map's terms in ascending packed order, then j
+ascending, then F_j's terms ascending, keeping every nonzero sum.  The
+shift jet is the hatted shift with h = id, which composes nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ class VectorFieldJet:
 
     Derives the flat order p (smallest degree carrying a nonzero term), the
     initial part P = degree-p homogeneous slice, and for p = 1 the matrix L
-    with P(x) = Lx.  Flow coefficients v_i are memoized per truncation order.
+    with P(x) = Lx.  One list x, v_1, v_2, ... of flow coefficients is
+    memoized per truncation order, with its Lie derivative.
     """
 
     def __init__(self, field):
@@ -55,44 +56,34 @@ class VectorFieldJet:
             self.L = RatMatrix(rows) if self.mode == EXACT else rows
         else:
             self.L = None
-        self._vcache = {}
-        self._lie = {}
+        self._series = {}
 
     def initial_part_map(self):
         return PolyMap([h.poly for h in self.P])
 
-    def flow_coeffs(self, imax, k):
-        """v_1..v_imax, each truncated to order k (cached per k).
+    def flow_series(self, c, imax, k):
+        """[w_0, ..., w_imax] at order k: w_0 = Phi_c, w_{i+1} = (F . grad) w_i.
 
-        v_{i+1} = (F . grad) v_i is one fused step of poly.LieDerivative,
-        whose table of F's packed keys and numerators is built once per
-        order k.  Float sums run over v_i's terms in ascending packed order,
-        then j, then F_j's terms, and keep every nonzero sum.  v_i truncated
-        to k is v_i at order k, so a new order is first cut from the lowest
-        cached higher order that holds imax coefficients: the recovery
-        loop's low orders then reuse the coefficients computed for the full
-        jet instead of running the derivative recursion again.
+        Each step is one application of poly.LieDerivative, whose table of
+        F's packed keys and numerators is built once per order k.  At c = 0,
+        w_0 = x and w_i = v_i, and the list is cached per order and extended
+        in place; otherwise (float mode) w_0 = flow_time_jet(c) and the list
+        is not kept.
         """
-        vs = self._vcache.get(k)
-        if vs is None:
-            longer = [j for j, ws in self._vcache.items() if j > k and len(ws) >= imax]
-            if longer:
-                vs = [w.truncate(k) for w in self._vcache[min(longer)][:max(imax, 1)]]
-            else:
-                vs = [PolyMap(self.field.coords, k)]
-            self._vcache[k] = vs
-        if len(vs) < imax:
-            lie = self.lie_derivative(k)
-            while len(vs) < imax:
-                vs.append(PolyMap([lie.apply(coord) for coord in vs[-1].coords], k))
-        return vs[:imax]
+        entry = self._series.get(k)
+        if entry is None:
+            entry = self._series[k] = (LieDerivative(self.field, k),
+                                       [PolyMap.identity(self.n, self.mode, k)])
+        lie, ws = entry
+        if c != 0:
+            ws = [flow_time_jet(self, c, k)]
+        while len(ws) <= imax:
+            ws.append(PolyMap([lie.apply(q) for q in ws[-1].coords], k))
+        return ws[:imax + 1]
 
-    def lie_derivative(self, k):
-        """The field's poly.LieDerivative at order k, built once per order."""
-        lie = self._lie.get(k)
-        if lie is None:
-            lie = self._lie[k] = LieDerivative(self.field, k)
-        return lie
+    def flow_coeffs(self, imax, k):
+        """v_1..v_imax, each truncated to order k: the tail of flow_series(0, imax, k)."""
+        return self.flow_series(0, imax, k)[1:]
 
     def __repr__(self):
         return f"VectorFieldJet(p={self.p}, field={self.field})"
@@ -176,63 +167,45 @@ def shift_jet(field, alpha, k):
     return hatted_shift_jet(field, PolyMap.identity(field.n, field.mode, k), alpha, k)
 
 
-def _lie_powers(lie, coords):
-    """The coordinates of (F . grad)^i w for i = 1, 2, ..., w given by ``coords``."""
-    while True:
-        coords = [lie.apply(q) for q in coords]
-        yield coords
-
-
 def hatted_shift_jet(field, h, beta, k):
     """j^K of x -> Phi(h(x), beta(x)) for a map h vanishing at the origin.
 
-    Phi(h, beta) = h + sum_i beta^i / i! (v_i o h) over the flow
-    coefficients v_i; term i has order >= i (p - 1 + ord beta) + 1, so the
-    sum is finite when p >= 2 or beta(0) = 0.  For p = 1 and c = beta(0) != 0
-    (float mode only; exact mode rejects it, the time-c flow being
-    transcendental) the sum runs over b = beta - c instead:
-    Phi(h, c + b) = sum_i b^i / i! (w_i o h), with w_0 = Phi_c from
-    flow_time_jet and w_i = (F . grad)^i Phi_c, each one step of the field's
-    cached Lie derivative at order K.  A flow commutes with its own Lie
+    One sum for every case: Phi(h, c + b) = sum_i b^i / i! (w_i o h) over
+    the list w_i of VectorFieldJet.flow_series(c, imax, K), with w_0 = Phi_c
+    and w_{i+1} = (F . grad) w_i.  A flow commutes with its own Lie
     derivative: the i-th s-derivative of Phi_c(Phi_s(y)) at s = 0 is
-    ((F . grad)^i Phi_c)(y).  One Substituter(h) serves w_0 and every w_i,
-    h = id composes nothing, and b = 0 leaves Phi_c o h.
+    ((F . grad)^i Phi_c)(y).  c = beta(0) when p = 1, so that b(0) = 0
+    (float mode only; exact mode rejects a nonzero beta(0), the time-c flow
+    being transcendental), and c = 0 otherwise, where w_0 = x and w_i = v_i.
+    Term i has order >= i (p - 1 + ord b) + 1, so the sum stops at
+    imax = (K - 1) // (p - 1 + ord b), at 0 when b = 0 or K = 0.  One
+    Substituter(h) serves every w_i, and h = id composes nothing.
     """
+    if k < 0:
+        raise ValueError(f"truncation order must be nonnegative, got {k}")
     if not h.vanishes_at_origin():
         raise ValueError("h must vanish at the origin")
     if beta.nvars != field.n or h.nvars != field.n or h.ncoords != field.n:
         raise ValueError("dimension mismatch")
     if beta.mode != field.mode or h.mode != field.mode:
         raise ValueError("scalar-mode mismatch")
-    c = beta.constant_term()
-    flow = None
-    if c != 0 and field.p == 1:
+    c = beta.constant_term() if field.p == 1 else 0
+    if c != 0:
         if field.mode == EXACT:
             raise ValueError(
                 "p=1 with beta(0) != 0 is not exactly computable; "
                 "normalize the input or use float mode")
-        flow = flow_time_jet(field, c, k)
         beta = beta - c
-        if beta.is_zero():
-            return compose(flow, h, k)
-    elif beta.is_zero():
-        return h.truncate(k)
-    # Term i has order >= i*((p-1) + ord beta) + 1, and beta(0) = 0 when p = 1.
-    imax = (k - 1) // (field.p - 1 + int(beta.min_degree()))
+    imax = 0 if beta.is_zero() else max(0, (k - 1) // (field.p - 1 + int(beta.min_degree())))
+    ws = field.flow_series(c, imax, k)
     sub = Substituter(h, k)
-    if flow is None:
-        w_0 = h.truncate(k).coords
-        ws = [v.coords for v in field.flow_coeffs(imax, k)] if imax >= 1 else []
-    else:
-        w_0 = map(sub.apply, flow.coords)
-        ws = _lie_powers(field.lie_derivative(k), flow.coords)
-    # sums[j] lists the (c, poly) pairs whose sum c * poly is coordinate j.
-    sums = [[(1, q)] for q in w_0]
+    # sums[j] lists the (factor, poly) pairs whose sum factor * poly is coordinate j.
+    sums = [[(1, sub.apply(q))] for q in ws[0].coords]
     beta_pow = MultiPoly.const(field.n, 1, field.mode)
-    for i, w in zip(range(1, imax + 1), ws):
+    for i, w in enumerate(ws[1:], start=1):
         beta_pow = beta_pow.mul_trunc(beta, k)
         inv_fact = _inv_factorial(i, field.mode)
-        for pairs, w_j in zip(sums, w):
+        for pairs, w_j in zip(sums, w.coords):
             if not w_j.is_zero():
                 pairs.append((inv_fact, sub.apply(w_j).mul_trunc(beta_pow, k)))
     return PolyMap([combine_trunc(field.n, field.mode, pairs, k) for pairs in sums], k)

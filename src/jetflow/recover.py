@@ -296,17 +296,16 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
     # (>= 1 when p = 1); pows[i] holds sigma^i through degree known[i].
     # Phi(x, sigma) - x = sum_i v_i sigma^i / i! and v_i has order
     # >= i(p-1) + 1, so only the terms with i(p-1) + 1 + i * order <= d reach
-    # degree d (v_i is fetched then), and they need sigma^i only through
-    # degree d - i(p-1) - 1: omega_l is missing there only for i = 1, where
-    # it contributes P omega_l.
-    pows, known, order, vs = [None, MultiPoly.zero(n, mode)], [None, None], math.inf, []
+    # degree d, and they need sigma^i only through degree d - i(p-1) - 1:
+    # omega_l is missing there only for i = 1, where it contributes P omega_l.
+    # As d <= K, no i past (K - 1) // max(p - 1, 1) is reached.
+    vs = field.flow_coeffs((k - 1) // max(p - 1, 1), k)
+    pows, known, order = [None, MultiPoly.zero(n, mode)], [None, None], math.inf
     for l in range(first, k - p + 1):
         d = p + l
         terms = [[(1, part)] for part in hx[d]]
         i = 1
         while i * (p - 1 + order) < d:
-            if len(vs) < i:
-                vs = field.flow_coeffs(i, k)
             if i == len(pows):
                 pows.append(MultiPoly.zero(n, mode))
                 known.append(i * order - 1)

@@ -347,6 +347,49 @@ def test_cli_batch_running_itself(tmp_path, capsys):
     assert captured.err.count(f"batch file {first} runs itself") == 2
 
 
+def test_cli_batch_unbalanced_quote(tmp_path, capsys):
+    # the line that cannot be split is a usage error; the next line still runs
+    script = tmp_path / "batch.txt"
+    script.write_text('reduce-ham -g "x^3*y^4\ncheck-star -F "-4*x, 3*y"\n')
+    code = run(["--batch", str(script)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "usage error" in captured.err
+    assert "nondivisible = yes" in captured.out
+
+
+def test_cli_shift_jets_at_order_zero(capsys):
+    for argv, nvars in ((["shift-jet", "-F", "x^2", "-a", "1 + x"], 1),
+                        (["shift-jet", "--float", "-F", "x*x - y, x + x*y", "-a", "3/4 + x"], 2),
+                        (["hatted-shift", "--float", "-F", "x*x - y, x + x*y", "-h", "x + y^2, y",
+                          "-b", "3/4 + x"], 2)):
+        code = run(argv + ["-K", "0", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["result"]["map"] == {"nvars": nvars, "trunc": 0, "coords": [[]] * nvars}
+
+
+def test_cli_negative_order_is_a_usage_error(capsys):
+    for argv in (["shift-jet", "-F", "x^2", "-a", "x", "-K", "-2"],
+                 ["hatted-shift", "-F", "x^2", "-h", "x", "-b", "x", "-K", "-1"]):
+        code = run(argv + ["--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert doc["ok"] is False
+        assert doc["error"]["kind"] == "Usage"
+
+
+@pytest.mark.parametrize("matrix", ["1/0,0;0,1", "1e10000000,0;0,1"])
+def test_cli_classify_bad_entry_ends_in_envelope(capsys, matrix):
+    # entries follow the expression grammar: no zero denominator, no exponent notation
+    start = time.perf_counter()
+    code = run(["classify-exp", "-L", matrix, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert doc["error"]["kind"] == "ParseError"
+
+
 def test_float_tol_env_override(monkeypatch):
     from jetflow import config
 

@@ -122,6 +122,56 @@ def test_hatted_shift_examples():
     assert hatted_shift_jet(field, PolyMap.identity(1), beta, 6) == shift_jet(field, beta, 6)
 
 
+def _rotation_field():
+    """A float p = 1 field, x' = -y + x^2, y' = x + x*y."""
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    return VectorFieldJet(PolyMap([x * x - y, x + x * y]))
+
+
+def _terms(m):
+    return [c.terms for c in m.coords]
+
+
+def test_shift_jets_at_order_zero_are_zero(quartic_field):
+    zero = [{}, {}]
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    assert _terms(shift_jet(quartic_field, 1 + x, 0)) == zero
+    assert _terms(hatted_shift_jet(quartic_field, PolyMap([x + y * y, y]), 1 + x, 0)) == zero
+    # float p = 1 with alpha(0) != 0
+    field = _rotation_field()
+    xf, yf = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    assert _terms(shift_jet(field, 0.75 + xf, 0)) == zero
+    assert _terms(hatted_shift_jet(field, PolyMap([xf + yf * yf, yf]), 0.75 + xf, 0)) == zero
+
+
+def test_negative_order_rejected(quartic_field):
+    x = MultiPoly.variable(2, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        shift_jet(quartic_field, x, -2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        hatted_shift_jet(quartic_field, PolyMap.identity(2), x, -1)
+
+
+def test_float_constant_shift_of_nonlinear_h_is_the_composed_flow():
+    # beta = c leaves the one term w_0 o h = Phi_c o h
+    field = _rotation_field()
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    h = PolyMap([x + 0.5 * y * y - x * x * y, y - 0.25 * x * y])
+    for c, k in ((0.75, 5), (-3.0, 7), (30.0, 4)):
+        beta = MultiPoly.const(2, c, FLOAT)
+        want = compose(flow_time_jet(field, c, k), h, k)
+        assert _terms(hatted_shift_jet(field, h, beta, k)) == _terms(want)
+
+
+def test_float_zero_shift_is_the_truncation():
+    field = _rotation_field()
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    h = PolyMap([x + 0.5 * y * y - x * x * y * y, y - 0.25 * x * y])
+    for k in (0, 2, 3, 6):
+        got = hatted_shift_jet(field, h, MultiPoly.zero(2, FLOAT), k)
+        assert _terms(got) == _terms(h.truncate(k))
+
+
 def test_hatted_shift_is_conjugated_shift(quartic_field):
     # Phi(h(x), beta(x)) agrees with F_(beta o h^-1) o h for invertible h
     rng = random.Random(47)

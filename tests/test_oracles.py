@@ -439,7 +439,7 @@ def test_flow_coeffs_match_sympy(case):
     expected = sympy_flow_coeffs(fmap, imax, k)
     fresh = VectorFieldJet(fmap).flow_coeffs(imax, k)
     assert [[c.terms for c in v.coords] for v in fresh] == expected
-    # the cache-cut path: order K cut from the coefficients at K + 2
+    # one field asked at K + 2 and then at K: each order keeps its own list
     field = VectorFieldJet(fmap)
     longer = field.flow_coeffs(imax, k + 2)
     assert [[c.terms for c in v.coords] for v in longer] == sympy_flow_coeffs(fmap, imax, k + 2)
@@ -448,6 +448,21 @@ def test_flow_coeffs_match_sympy(case):
     for got, want in zip(VectorFieldJet(fmap.to_float()).flow_coeffs(imax, k), fresh):
         for got_j, want_j in zip(got.coords, want.coords):
             assert _float_gap(got_j, want_j) <= 1e-12 * max(1.0, float(want.max_abs_coeff()))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=flow_fields())
+def test_flow_coeffs_at_a_higher_order_on_one_field_match_fresh_fields(case):
+    # one field asked at K and then at K + 2 (the other order from the oracle
+    # above), in both scalar modes
+    fmap, imax, k = case
+    for fmap in (fmap, fmap.to_float()):
+        field = VectorFieldJet(fmap)
+        for order in (k, k + 2):
+            got = field.flow_coeffs(imax, order)
+            want = VectorFieldJet(fmap).flow_coeffs(imax, order)
+            assert [[c.terms for c in v.coords] for v in got] == \
+                [[c.terms for c in v.coords] for v in want]
 
 
 def sympy_lie_series(fmap, c, k):
