@@ -28,6 +28,12 @@ from .serialize import (jets_from_json, matrix_to_json, poly_from_json,
                         poly_to_json, polymap_from_json, polymap_to_json)
 
 
+# borel --fd-order k inverts an exact (2k+1)-point Vandermonde matrix and
+# samples (2k+1)^n points: k = 20 with two variables takes about 0.7 s on a
+# 2-core Xeon, k = 60 about 14 s.
+MAX_FD_ORDER = 20
+
+
 class UsageError(Exception):
     pass
 
@@ -255,6 +261,8 @@ def _cmd_borel(args):
         lines.append(f"value at {point} = {value!r}")
     if args.fd_order is not None:
         k = args.fd_order
+        if not 0 <= k <= MAX_FD_ORDER:
+            raise UsageError(f"--fd-order must lie in 0..{MAX_FD_ORDER}, got {k}")
         h = args.fd_step if args.fd_step else realization.plateau_radius() / (2 * max(k, 1))
         coeffs = borel_mod.finite_diff_jet(realization, k, h)
         printable = {",".join(map(str, m)): c for m, c in sorted(coeffs.items())}

@@ -292,7 +292,8 @@ def jet_inverse(h, k):
         import numpy as np
 
         mat = np.array(rows, dtype=float)
-        if abs(np.linalg.det(mat)) < 1e-14:
+        # matrix_rank's tolerance scales with the matrix: 1e-5 * I is invertible
+        if np.linalg.matrix_rank(mat) < n:
             raise ValueError("matrix is singular")
         a_inv = np.linalg.inv(mat).tolist()
     g = PolyMap.linear(a_inv, h.mode, k)
@@ -302,15 +303,8 @@ def jet_inverse(h, k):
         parts = [c.homogeneous_part(order).poly for c in err.coords]
         if all(p.is_zero() for p in parts):
             continue
-        correction = []
-        for i in range(n):
-            acc = MultiPoly.zero(n, h.mode)
-            for j in range(n):
-                coeff = a_inv[i][j]
-                if coeff == 0:
-                    continue
-                acc = acc + parts[j].scale(coeff)
-            correction.append(acc)
+        correction = [combine_trunc(n, h.mode, [(a, q) for a, q in zip(row, parts) if a != 0], order)
+                      for row in a_inv]
         g = g - PolyMap(correction)
         g = g.truncate(k)
     return g.truncate(k)

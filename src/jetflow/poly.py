@@ -18,13 +18,12 @@ are integer numerators over one common denominator per polynomial, so a
 Fraction is built once per output term.  Float sums run in a documented
 order and keep every nonzero sum: a product in ascending order of its
 operands' terms, a Lie derivative step in ascending order of p's terms,
-then j, then F_j's terms.  ``.terms`` stays the tuple-keyed view; products
-in both scalar modes build it on first access, and the degree, zero,
-homogeneity and truncation queries read the packed form while it is
-unbuilt.  Exact division, by one polynomial (divide_exact) or
-coordinatewise by a vector (common_quotient), reduces by a single divisor in
-graded-lex order (Cox, Little and O'Shea, "Ideals, Varieties, and
-Algorithms", 2.3).
+then j, then F_j's terms.  Queries, sums, scalings and degree slices read
+the packed form, which holds every term; ``.terms`` is the tuple-keyed
+view, built on first access.  Exact division, by one polynomial
+(divide_exact) or coordinatewise by a vector (common_quotient), reduces by
+a single divisor in graded-lex order (Cox, Little and O'Shea, "Ideals,
+Varieties, and Algorithms", 2.3).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -116,8 +115,8 @@ def _check_pair(a, b):
 class MultiPoly:
     """Sparse polynomial in ``nvars`` variables over one scalar mode."""
 
-    # Products are born packed (see _pack); their tuple-keyed terms are
-    # built on first access, so intermediate products never make one.
+    # _packed, once set, holds every term (see _pack); _terms is None until
+    # .terms is asked for on a polynomial computed on packed keys.
     __slots__ = ("nvars", "mode", "_terms", "_packed")
 
     def __init__(self, nvars, terms=None, mode=EXACT):
@@ -157,7 +156,8 @@ class MultiPoly:
 
     @classmethod
     def _raw(cls, nvars, terms, mode):
-        """Internal: terms already clean (no zeros, correct tuples, coerced)."""
+        """Internal: terms already clean (no zeros, correct tuples, coerced), or
+        None when the caller sets the packed form."""
         self = object.__new__(cls)
         self.nvars = nvars
         self.mode = mode
@@ -179,46 +179,38 @@ class MultiPoly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
-        return not (self._packed[1] if self._terms is None else self._terms)
+        return not _pack(self)[1]
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if self._terms is None:
-            bits, keys, _, _ = self._packed
-            return keys[-1] >> self.nvars * bits if keys else -1
-        return max(map(mono_deg, self.terms), default=-1)
+        bits, keys, _, _ = _pack(self)
+        return keys[-1] >> self.nvars * bits if keys else -1
 
     def min_degree(self):
         """Smallest total degree with a nonzero term; math.inf for zero."""
-        return min(map(mono_deg, self.terms), default=math.inf)
+        bits, keys, _, _ = _pack(self)
+        return keys[0] >> self.nvars * bits if keys else math.inf
 
     def constant_term(self):
-        return self.terms.get((0,) * self.nvars, _coerce(0, self.mode))
+        _, keys, values, den = _pack(self)
+        c = values[0] if keys and keys[0] == 0 else 0
+        return Fraction(c, den) if self.mode == EXACT else float(c)
 
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), _coerce(0, self.mode))
 
     def max_abs_coeff(self):
-        """Largest |coefficient|: 0 for the zero polynomial, NaN if any is NaN.
-
-        Reads the packed form while ``.terms`` is unbuilt."""
-        if self._terms is None:
-            _, _, values, den = self._packed
-            largest = _max_nan(map(abs, values), 0)
-            return Fraction(largest, den) if self.mode == EXACT else float(largest)
-        return _max_nan(map(abs, self.terms.values()), _coerce(0, self.mode))
+        """Largest |coefficient|: 0 for the zero polynomial, NaN if any is NaN."""
+        _, _, values, den = _pack(self)
+        largest = _max_nan(map(abs, values), 0)
+        return Fraction(largest, den) if self.mode == EXACT else float(largest)
 
     def is_homogeneous(self, d=None):
-        if self._terms is None:
-            bits, keys, _, _ = self._packed  # sorted: the degree is lowest first, highest last
-            degs = {key >> self.nvars * bits for key in keys[:1] + keys[-1:]}
-        else:
-            degs = set(map(mono_deg, self.terms))
-        if not degs:
+        bits, keys, _, _ = _pack(self)
+        if not keys:
             return True
-        if len(degs) > 1:
-            return False
-        return d is None or degs == {d}
+        shift = self.nvars * bits  # keys are sorted: the lowest degree first, the highest last
+        return keys[0] >> shift == keys[-1] >> shift and d in (None, keys[0] >> shift)
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.nvars == other.nvars
@@ -237,35 +229,26 @@ class MultiPoly:
         if isinstance(other, (int, Fraction, float)):
             other = MultiPoly.const(self.nvars, other, self.mode)
         _check_pair(self, other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return MultiPoly._raw(self.nvars, out, self.mode)
+        return combine_trunc(self.nvars, self.mode, [(1, self), (1, other)],
+                             max(self.degree(), other.degree()))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return MultiPoly._raw(self.nvars, {m: -c for m, c in self.terms.items()}, self.mode)
+        return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            other = MultiPoly.const(self.nvars, other, self.mode)
-        return self.__add__(other.__neg__())
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        return self.__neg__().__add__(MultiPoly.const(self.nvars, other, self.mode))
+        return self.__neg__().__add__(other)
 
     def scale(self, c):
         c = _coerce(c, self.mode)
         if c == 0:
             return MultiPoly.zero(self.nvars, self.mode)
-        return MultiPoly._raw(self.nvars, {m: v * c for m, v in self.terms.items()}, self.mode)
+        return combine_trunc(self.nvars, self.mode, [(c, self)], self.degree())
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
@@ -300,26 +283,26 @@ class MultiPoly:
 
     def truncate(self, k):
         """Drop all terms of total degree > k."""
-        if self._terms is None and self.degree() <= k:
-            return self  # a packed product within the order stays packed
-        out = {m: c for m, c in self.terms.items() if mono_deg(m) <= k}
-        if len(out) == len(self.terms):
-            return self  # values are immutable; keeps the packed cache
-        return MultiPoly._raw(self.nvars, out, self.mode)
+        return self._degrees(0, k)
 
     def homogeneous_part(self, d):
         """The degree-d slice, as a HomogPoly (zero slice allowed)."""
-        out = {m: c for m, c in self.terms.items() if mono_deg(m) == d}
-        return HomogPoly(MultiPoly._raw(self.nvars, out, self.mode), d)
+        return HomogPoly(self._degrees(d, d), d)
 
     def graded_parts(self, k):
-        """The homogeneous parts of degrees 0..k, as MultiPolys, in one pass."""
-        parts = [{} for _ in range(k + 1)]
-        for mono, c in self.terms.items():
-            deg = mono_deg(mono)
-            if deg <= k:
-                parts[deg][mono] = c
-        return [MultiPoly._raw(self.nvars, part, self.mode) for part in parts]
+        """The homogeneous parts of degrees 0..k, as MultiPolys."""
+        return [self._degrees(d, d) for d in range(k + 1)]
+
+    def _degrees(self, lo, hi):
+        """The terms of total degree lo..hi, cut from the sorted packed keys by
+        bisection; self (values are immutable) when that is every term."""
+        bits, keys, values, den = _pack(self)
+        shift = self.nvars * bits
+        start, stop = bisect_left(keys, lo << shift), bisect_left(keys, (hi + 1) << shift)
+        if start == 0 and stop == len(keys):
+            return self
+        return _from_packed(self.nvars, self.mode, bits, keys[start:stop],
+                            values[start:stop], den)
 
     def partial(self, index):
         """Exact partial derivative with respect to variable ``index`` (0-based)."""
@@ -419,52 +402,69 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _pack(p, bits):
+def _keys(monos, bits):
+    """The packed keys of exponent tuples (see _pack)."""
+    keys = []
+    for mono in monos:
+        key = sum(mono)
+        for e in mono:
+            key = key << bits | e
+        keys.append(key)
+    return keys
+
+
+def _pack(p, bits=None):
     """p's terms in packed form: (bits, keys, values, denominator).
 
     A packed key holds the total degree in its top field and the exponents
     below it, ``bits`` bits each, first variable highest, so that adding keys
     multiplies monomials and ascending keys are ascending (degree, exponent
-    tuple).  Terms of degree >= 2**bits do not fit and are left out.  The
-    keys list is sorted.  Exact values are integer numerators over the common
-    denominator (the lcm of the coefficients' denominators); float values
-    are the coefficients, over 1.  The result is cached on p, which is
-    immutable, for the last ``bits`` asked for.
+    tuple).  The keys list is sorted.  Exact values are integer numerators
+    over the common denominator (the lcm of the coefficients' denominators);
+    float values are the coefficients, over 1.  With ``bits`` None this is
+    p's own packed form, which holds every term: p keeps it, packed from
+    ``.terms`` on first need (at ``bits`` if p's degree fits there).  At
+    another width terms of degree >= 2**bits are left out, and p keeps the
+    repacking only when it drops none.
     """
     packed = p._packed
-    if packed is not None and packed[0] == bits:
+    if packed is None:
+        terms = p._terms
+        deg = max(map(sum, terms), default=0)
+        width = bits if bits is not None and deg < 1 << bits else deg.bit_length() + 1
+        items = sorted(zip(_keys(terms, width), terms.values()), key=itemgetter(0))
+        keys = [key for key, _ in items]
+        if p.mode == EXACT:
+            den = math.lcm(*(c.denominator for _, c in items))
+            values = [c.numerator * (den // c.denominator) for _, c in items]
+        else:
+            den = 1
+            values = [c for _, c in items]
+        p._packed = packed = (width, keys, values, den)
+    if bits is None or bits == packed[0]:
         return packed
-    limit = 1 << bits
-    items = []
-    for mono, c in p.terms.items():
-        deg = sum(mono)
-        if deg < limit:
-            key = deg
-            for e in mono:
-                key = key << bits | e
-            items.append((key, c))
-    items.sort(key=itemgetter(0))
-    keys = [key for key, _ in items]
-    if p.mode == EXACT:
-        den = math.lcm(*(c.denominator for _, c in items))
-        values = [c.numerator * (den // c.denominator) for _, c in items]
-    else:
-        den = 1
-        values = [c for _, c in items]
-    p._packed = packed = (bits, keys, values, den)
-    return packed
+    width, keys, values, den = packed
+    cut = bisect_left(keys, 1 << bits << p.nvars * width)  # the terms of degree < 2**bits
+    repacked = (bits, _keys(_unpack_keys(p.nvars, width, keys[:cut]), bits), values[:cut], den)
+    if cut == len(keys):
+        p._packed = repacked
+    return repacked
 
 
 def _from_sums(n, mode, bits, sums, den):
     """The MultiPoly whose packed terms are ``sums``: key -> numerator over
-    den (exact) or key -> float.  Zero sums are left out (NaN stays).  The
-    sorted packed form is kept as the result's cache, and ``.terms`` is
-    built from it on first access."""
+    den (exact) or key -> float.  Zero sums are left out (NaN stays)."""
     keys = sorted(key for key, v in sums.items() if v)
-    values = [sums[key] for key in keys]
+    return _from_packed(n, mode, bits, keys, [sums[key] for key in keys], den)
+
+
+def _from_packed(n, mode, bits, keys, values, den):
+    """The MultiPoly whose packed form is (bits, keys, values, den), for
+    sorted keys and nonzero values."""
     if mode == EXACT:
         # Dividing out the gcd leaves den the lcm of the reduced
-        # coefficients' denominators, as _pack would compute it.
+        # coefficients' denominators, as _pack would compute it, so that
+        # packed forms at one width are canonical.
         g = math.gcd(den, *values)
         den //= g
         values = [v // g for v in values]
@@ -595,8 +595,6 @@ def combine_trunc(n, mode, pairs, k):
     """
     if any(p.nvars != n or p.mode != mode for _, p in pairs):
         raise ValueError(f"combine_trunc needs {mode} polynomials in {n} variables")
-    if k < 0:
-        return MultiPoly._raw(n, {}, mode)
     bits = k.bit_length() + 1
     limit = (k + 1) << (n * bits)
     packs = [(c, _pack(p, bits)) for c, p in pairs]

@@ -333,7 +333,7 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
             if d < k and not residuals[-1] <= bound:
                 raise _differs(omegas, l + 1, d, rest)
         if not omega.is_zero():
-            pows[1] = pows[1] + omega
+            pows[1] = combine_trunc(n, mode, [(1, pows[1]), (1, omega)], k)
             order = min(order, l)
 
     return RecoveryResult(omegas, all(r <= bound for r in residuals), mode, residuals)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetflow.cli import run
+from jetflow.cli import MAX_FD_ORDER, run
 from jetflow.errors import ParseError
 from jetflow.parsing import MAX_EXPONENT, MAX_NESTING, parse_poly
 from jetflow.poly import EXACT, FLOAT, MultiPoly, PolyMap
@@ -272,6 +272,32 @@ def test_cli_borel(tmp_path, capsys):
     coeffs = doc["result"]["fd_coeffs"]
     for key, want in (("0", 1.0), ("1", 1.0), ("2", 1.0)):
         assert abs(coeffs[key] - want) < 1e-6
+
+
+def _borel_fd(tmp_path, capsys, order):
+    from jetflow.serialize import jets_to_json
+
+    path = tmp_path / "jets.json"
+    path.write_text(json.dumps(jets_to_json([MultiPoly.const(2, 1)], 2)))
+    start = time.perf_counter()
+    code = run(["borel", "--jets", str(path), "--fd-order", str(order), "--json"])
+    return code, json.loads(capsys.readouterr().out), time.perf_counter() - start
+
+
+def test_cli_borel_negative_fd_order_is_a_usage_error(tmp_path, capsys):
+    code, doc, _ = _borel_fd(tmp_path, capsys, -1)
+    assert code == 1
+    assert doc["error"]["kind"] == "Usage"
+    assert "--fd-order" in doc["error"]["detail"]
+
+
+def test_cli_borel_fd_order_is_bounded(tmp_path, capsys):
+    code, doc, _ = _borel_fd(tmp_path, capsys, MAX_FD_ORDER)
+    assert code == 0 and len(doc["result"]["fd_coeffs"]) == (MAX_FD_ORDER + 1) * (MAX_FD_ORDER + 2) // 2
+    for order in (MAX_FD_ORDER + 1, 150):
+        code, doc, seconds = _borel_fd(tmp_path, capsys, order)
+        assert code == 1 and doc["error"]["kind"] == "Usage"
+        assert seconds < 2.0
 
 
 def test_cli_borel_jets_missing_keys(tmp_path, capsys):

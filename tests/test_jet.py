@@ -304,6 +304,26 @@ def test_jet_inverse_float():
         jet_inverse(PolyMap.linear([[1.0, 2.0], [0.5, 1.0]], FLOAT) + pert, k)
 
 
+def test_jet_inverse_float_small_linear_part():
+    # det = 1e-15 at the scale 1e-5: invertible, though an absolute
+    # determinant threshold of 1e-14 would call it singular
+    rng = random.Random(7)
+    n, k = 3, 4
+    lin = PolyMap.linear([[1e-5 if i == j else 0.0 for j in range(n)] for i in range(n)], FLOAT)
+    pert = PolyMap([rand_poly(rng, n, k, min_deg=1).to_float().scale(1e-6) for _ in range(n)])
+    h = lin + pert
+    g = jet_inverse(h, k)
+    exact = jet_inverse(PolyMap([MultiPoly(n, {m: Fraction(c) for m, c in q.terms.items()})
+                                 for q in h.coords]), k)
+    for got, want in zip(g.coords, exact.coords):
+        for d in range(1, k + 1):
+            a, b = got.homogeneous_part(d).poly, want.homogeneous_part(d).poly
+            scale = float(b.max_abs_coeff())
+            assert scale > 0
+            for mono in set(a.terms) | set(b.terms):
+                assert abs(a.coefficient(mono) - float(b.coefficient(mono))) <= 1e-12 * scale
+
+
 def test_flow_law_bijet(quartic_field):
     n, k, order = 2, 6, 3
     bj = flow_bijet(quartic_field, order, k)

@@ -236,6 +236,90 @@ def test_float_mul_trunc_matches_schoolbook(pair, k):
     assert a.mul_trunc(b, k).terms == schoolbook_mul_trunc(a, b, k)
 
 
+# NaN, and magnitudes whose products underflow to 0.0 or overflow to inf
+FLOAT_EDGES = st.one_of(FLOATS, st.sampled_from([math.nan, 1e-300, -1e-300, 1e300]))
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(a, b, c) in one mode; b holds -a's coefficient on some of a's terms."""
+    mode = draw(st.sampled_from([EXACT, FLOAT]))
+    coeffs = COEFFS if mode == EXACT else FLOAT_EDGES
+    a, b = draw(poly_pairs(coeffs=coeffs, mode=mode))
+    flips = draw(st.lists(st.booleans(), min_size=len(a.terms), max_size=len(a.terms)))
+    terms = dict(b.terms)
+    terms.update({m: -c for (m, c), flip in zip(a.terms.items(), flips) if flip})
+    return a, MultiPoly(a.nvars, terms, mode), draw(coeffs)
+
+
+def dict_add(s, t):
+    out = dict(s)
+    for m, c in t.items():
+        v = out[m] + c if m in out else c
+        if v == 0:
+            out.pop(m, None)
+        else:
+            out[m] = v
+    return out
+
+
+def dict_scale(t, c):
+    return {m: v * c for m, v in t.items() if c != 0 and v * c != 0}
+
+
+def same(x, y):
+    """Equal and of one type; floats bit for bit, any NaN matching any NaN."""
+    if isinstance(x, float) and isinstance(y, float):
+        return (x != x and y != y) or x.hex() == y.hex()
+    return type(x) is type(y) and x == y
+
+
+def same_terms(got, want):
+    return got.keys() == want.keys() and all(same(got[m], want[m]) for m in want)
+
+
+def check_against_terms(p, t, k):
+    """Every query and slice of p against the plain dict t of its terms.
+
+    The queries run before p.terms is read, so a p computed on packed keys
+    answers them from its packed form alone."""
+    zero = Fraction(0) if p.mode == EXACT else 0.0
+    degs = set(map(sum, t))
+    sizes = [abs(c) for c in t.values()]
+    assert p.is_zero() == (not t)
+    assert p.degree() == max(degs, default=-1)
+    assert p.min_degree() == min(degs, default=math.inf)
+    assert same(p.constant_term(), t.get((0,) * p.nvars, zero))
+    assert same(p.max_abs_coeff(), next((c for c in sizes if c != c), max(sizes, default=zero)))
+    for d in (None, *range(-1, k + 2)):
+        assert p.is_homogeneous(d) == (len(degs) <= 1 and (d is None or degs <= {d}))
+    assert same_terms(p.truncate(k).terms, {m: c for m, c in t.items() if sum(m) <= k})
+    parts = p.graded_parts(k)
+    assert len(parts) == max(k + 1, 0)
+    for d, part in enumerate(parts):
+        assert same_terms(part.terms, {m: c for m, c in t.items() if sum(m) == d})
+    for d in range(max(k, 0) + 1):
+        part = p.homogeneous_part(d)
+        assert part.degree == d
+        assert same_terms(part.poly.terms, {m: c for m, c in t.items() if sum(m) == d})
+    assert same_terms(p.terms, t)
+
+
+@ORACLE
+@given(case=cancelling_pairs(), k=st.integers(-1, 6))
+@example(case=(MultiPoly(1, {(1,): 1e-300}, FLOAT), MultiPoly(1, {(1,): -1e-300}, FLOAT), 1e-300),
+         k=2)
+@example(case=(MultiPoly(2, {(0, 0): math.nan, (1, 1): 1.0}, FLOAT),
+               MultiPoly(2, {(1, 1): -1.0}, FLOAT), 0.5), k=2)
+def test_sums_scalings_slices_and_queries_match_dict_arithmetic(case, k):
+    a, b, c = case
+    ta, tb = dict(a.terms), dict(b.terms)
+    neg_b = {m: -v for m, v in tb.items()}
+    for got, want in ((a, ta), (b, tb), (a + b, dict_add(ta, tb)), (a - b, dict_add(ta, neg_b)),
+                      (-b, neg_b), (a.scale(c), dict_scale(ta, c))):
+        check_against_terms(got, want, k)
+
+
 @ORACLE
 @given(t=COEFFS, k=st.integers(1, 10))
 def test_shift_of_x_squared_is_x_over_one_minus_tx(t, k):

@@ -251,3 +251,21 @@ def test_max_abs_coeff_sees_nan_after_a_number():
     assert math.isnan(m.coords[0].max_abs_coeff())
     assert math.isnan(m.max_abs_coeff())
     assert not m.is_identity(3, tol=1e-8)
+
+
+def test_float_scale_drops_an_underflowed_coefficient():
+    p = MultiPoly(1, {(1,): 1e-300}, FLOAT).scale(1e-300)  # 1e-600 underflows to 0.0
+    assert p.terms == {}
+    assert p.is_zero() and p.degree() == -1
+
+
+def test_a_narrow_product_leaves_the_operand_whole(xy):
+    x, y = xy
+    # one operand built from tuples, one computed on packed keys
+    for p in (MultiPoly(2, {(1, 0): 1, (0, 5): 3}), x + (y ** 5).scale(3)):
+        # order 1's packing has no room for y^5, so it must not become p's own
+        assert p.mul_trunc(x, 1).is_zero()
+        assert p.degree() == 5
+        assert p.max_abs_coeff() == 3
+        assert not p.is_homogeneous()
+        assert p.truncate(5).terms == p.terms == {(1, 0): 1, (0, 5): 3}
