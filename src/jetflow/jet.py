@@ -7,8 +7,10 @@ shift map x -> Phi(x, alpha(x)); for a field of flat order p the order bound
 j^{i(p-1)}(v_i) = 0 makes every K-jet of a shift a finite computation.
 Every shift jet is one sum Phi(h, c + b) = sum_i b^i / i! (w_i o h) over
 one list w_0 = Phi_c, w_{i+1} = (F . grad) w_i (VectorFieldJet.flow_series;
-a flow commutes with its own Lie derivative).  c = 0 gives w_0 = x and the
-cached flow coefficients w_i = v_i; a float shift with p = 1 takes
+a flow commutes with its own Lie derivative), one poly.combine_trunc per
+coordinate over the terms (1/i!, w_i o h, b^i).  b^i meets only w_i o h, so
+it is built only through degree K - ord(w_i o h).  c = 0 gives w_0 = x and
+the cached flow coefficients w_i = v_i; a float shift with p = 1 takes
 c = beta(0), and w_0 is the float time-c flow, which sums the Lie series of
 a time-scaled field in one combine_trunc per coordinate and squares the
 result.  Each Lie step is one application of the field's Lie derivative on
@@ -178,8 +180,13 @@ def hatted_shift_jet(field, h, beta, k):
     (float mode only; exact mode rejects a nonzero beta(0), the time-c flow
     being transcendental), and c = 0 otherwise, where w_0 = x and w_i = v_i.
     Term i has order >= i (p - 1 + ord b) + 1, so the sum stops at
-    imax = (K - 1) // (p - 1 + ord b), at 0 when b = 0 or K = 0.  One
-    Substituter(h) serves every w_i, and h = id composes nothing.
+    imax = (K - 1) // (p - 1 + ord b), at 0 when b = 0 or K = 0, and earlier
+    once every later w_i o h is zero.  One Substituter(h) serves every w_i,
+    and h = id composes nothing.  b^i only meets w_i o h, so it is needed
+    through degree K - ord(w_i o h), read from the packed forms; as b^(i+1)
+    is built from it, b^i is cut at the largest such degree from i on, and
+    packed at K's width, as the final sums read it.  Each coordinate is then
+    one poly.combine_trunc over the terms (1/i!, w_ij o h, b^i).
     """
     if k < 0:
         raise ValueError(f"truncation order must be nonnegative, got {k}")
@@ -197,18 +204,24 @@ def hatted_shift_jet(field, h, beta, k):
                 "normalize the input or use float mode")
         beta = beta - c
     imax = 0 if beta.is_zero() else max(0, (k - 1) // (field.p - 1 + int(beta.min_degree())))
-    ws = field.flow_series(c, imax, k)
     sub = Substituter(h, k)
-    # sums[j] lists the (factor, poly) pairs whose sum factor * poly is coordinate j.
-    sums = [[(1, sub.apply(q))] for q in ws[0].coords]
+    composed = [[sub.apply(q) for q in w.coords] for w in field.flow_series(c, imax, k)]
+    # beta^i meets only w_i o h, so it is needed through degree K - ord(w_i o h);
+    # it is built from beta^(i-1), so tops[i] is the largest such degree from i on
+    tops = list(itertools.accumulate(
+        (k - min(q.min_degree() for q in ws) for ws in reversed(composed)), max))[::-1]
+    # sums[j] lists the terms (1/i!, w_ij o h, beta^i) whose sum is coordinate j
+    sums = [[(1, q)] for q in composed[0]]
     beta_pow = MultiPoly.const(field.n, 1, field.mode)
-    for i, w in enumerate(ws[1:], start=1):
-        beta_pow = beta_pow.mul_trunc(beta, k)
+    for i in range(1, len(composed)):
+        if tops[i] < 0:
+            break  # every w_i o h from here on is zero
+        beta_pow = beta_pow.mul_trunc(beta, tops[i], k)
         inv_fact = _inv_factorial(i, field.mode)
-        for pairs, w_j in zip(sums, w.coords):
-            if not w_j.is_zero():
-                pairs.append((inv_fact, sub.apply(w_j).mul_trunc(beta_pow, k)))
-    return PolyMap([combine_trunc(field.n, field.mode, pairs, k) for pairs in sums], k)
+        for terms, q in zip(sums, composed[i]):
+            if not q.is_zero():
+                terms.append((inv_fact, q, beta_pow))
+    return PolyMap([combine_trunc(field.n, field.mode, terms, k) for terms in sums], k)
 
 
 # flow_time_jet sums the Lie series directly while |s| * K * max|F| stays at

@@ -6,24 +6,23 @@ two scalar modes never mix inside one computation.  PolyMap bundles m
 coordinate polynomials sharing the same variables and an optional truncation
 order K, and represents a K-jet of a map at the origin.
 
-Products (``*``, mul_trunc, pow_trunc, product_slice for one degree, and
-through them composition), the sums of scaled products in composition and
-in the flow series, and the Lie derivative of a vector field (LieDerivative,
-one fused step per flow coefficient) run on packed graded keys: each
-exponent tuple becomes one int with the total degree in its top field
-(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007), so that multiplying monomials is one
-integer addition and truncation one comparison.  Exact coefficients there
-are integer numerators over one common denominator per polynomial, so a
-Fraction is built once per output term.  Float sums run in a documented
-order and keep every nonzero sum: a product in ascending order of its
-operands' terms, a Lie derivative step in ascending order of p's terms,
-then j, then F_j's terms.  Queries, sums, scalings and degree slices read
-the packed form, which holds every term; ``.terms`` is the tuple-keyed
-view, built on first access.  Exact division, by one polynomial
-(divide_exact) or coordinatewise by a vector (common_quotient), reduces by
-a single divisor in graded-lex order (Cox, Little and O'Shea, "Ideals,
-Varieties, and Algorithms", 2.3).
+Every product and sum of products is one kernel, combine_trunc, the degree
+lo..k terms of sum c * a * b with b possibly left out; ``*``, mul_trunc and
+product_slice are one-term calls of it.  It and the Lie derivative of a
+vector field (LieDerivative, one fused step per flow coefficient) run on
+packed graded keys: each exponent tuple becomes one int with the total
+degree in its top field (Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007), so that
+multiplying monomials is one integer addition and truncation one
+comparison.  Exact coefficients there are integer numerators over one common
+denominator, so a Fraction is built once per output term.  Float sums keep
+every nonzero sum, in the orders documented at combine_trunc and
+LieDerivative.  Queries, sums, scalings and degree slices read the packed
+form, which holds every term; ``.terms`` is the tuple-keyed view, built on
+first access.  Exact division, by one polynomial (divide_exact) or
+coordinatewise by a vector (common_quotient), reduces by a single divisor in
+graded-lex order (Cox, Little and O'Shea, "Ideals, Varieties, and
+Algorithms", 2.3) on the packed keys, with integer numerators.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -71,10 +70,6 @@ def _coerce(value, mode):
     raise ValueError(f"unknown scalar mode {mode!r}")
 
 
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def monomials_of_degree(nvars, d):
     """All exponent tuples of total degree d, in descending lex order."""
     if nvars == 1:
@@ -84,10 +79,6 @@ def monomials_of_degree(nvars, d):
         for rest in monomials_of_degree(nvars - 1, d - first):
             out.append((first,) + rest)
     return out
-
-
-def mono_deg(mono):
-    return sum(mono)
 
 
 def _max_nan(values, default):
@@ -221,7 +212,7 @@ class MultiPoly:
 
     def sorted_terms(self):
         """Terms in descending graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: (mono_deg(kv[0]), kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     # -- ring operations ---------------------------------------------------
 
@@ -253,14 +244,15 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
             return self.scale(other)
-        return _product(self, other, self.degree() + other.degree())
+        return self.mul_trunc(other, self.degree() + other.degree())
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def mul_trunc(self, other, k):
-        """Product truncated to total degree <= k (the jet product)."""
-        return _product(self, other, k)
+    def mul_trunc(self, other, k, width=None):
+        """Product truncated to total degree <= k (the jet product), packed
+        at order ``width``'s key width (k's by default; see combine_trunc)."""
+        return combine_trunc(self.nvars, self.mode, [(1, self, other)], k, 0, width)
 
     def pow_trunc(self, e, k):
         """e-th power truncated to total degree <= k."""
@@ -480,47 +472,6 @@ def _unpack_keys(n, bits, keys):
     return [tuple([key >> s & mask for s in shifts]) for key in keys]
 
 
-def _product(a, b, k, lo=0, bits=None):
-    """The terms of a*b of total degree lo..k.
-
-    Runs on packed keys (see _pack), ``bits`` bits per field (at least k's
-    width; the default): a caller that takes products of several degrees
-    from the same operands packs them at the largest order's width once.
-    Only term pairs landing in degrees lo..k are visited, each found by
-    bisection, and each pair costs one integer addition for the monomial and
-    one multiplication of integer numerators (exact) or floats.  Sums
-    accumulate in ascending (degree, exponent tuple) order of a's terms, then
-    b's, so float results do not depend on the dict order of the operands
-    or on the degree window.
-    """
-    _check_pair(a, b)
-    n, mode = a.nvars, a.mode
-    if k < max(lo, 0):
-        return MultiPoly._raw(n, {}, mode)
-    if bits is None:
-        bits = k.bit_length() + 1
-    shift = n * bits
-    _, keys1, values1, den1 = _pack(a, bits)
-    _, keys2, values2, den2 = _pack(b, bits)
-    sums = {}
-    if keys1 and keys2:
-        get = sums.get
-        low2, high2 = keys2[0] >> shift, keys2[-1] >> shift
-        if lo > high2:
-            first = bisect_left(keys1, (lo - high2) << shift)
-            keys1, values1 = keys1[first:], values1[first:]
-        for key1, v1 in zip(keys1, values1):
-            deg1 = key1 >> shift
-            if deg1 + low2 > k:
-                break
-            start = bisect_left(keys2, (lo - deg1) << shift) if lo > deg1 + low2 else 0
-            cut = bisect_left(keys2, (k - deg1 + 1) << shift)
-            for key2, v2 in zip(keys2[start:cut], values2[start:cut]):
-                key = key1 + key2
-                sums[key] = get(key, 0) + v1 * v2
-    return _from_sums(n, mode, bits, sums, den1 * den2)
-
-
 class LieDerivative:
     """j^k of the Lie derivative (F . grad) p = sum_j F_j dp/dx_j, on packed keys,
     for a field F with F(0) = 0 (so that terms of p above k contribute nothing).
@@ -581,34 +532,65 @@ class LieDerivative:
 def product_slice(a, b, d, k):
     """The degree-d slice of a*b, for d <= k, with both operands packed at
     order k's width: slices of every degree up to k reuse one packing of
-    each operand (see _product)."""
-    return _product(a, b, d, d, k.bit_length() + 1)
+    each operand."""
+    return combine_trunc(a.nvars, a.mode, [(1, a, b)], d, d, k)
 
 
-def combine_trunc(n, mode, pairs, k):
-    """j^k of sum(c * p for c, p in pairs): one sum over all the terms, in a
-    dict of packed keys, in place of a chain of additions.
+def combine_trunc(n, mode, terms, k, lo=0, width=None):
+    """The terms of degree lo..k of sum(c * a * b for c, a, b in terms), where
+    a term (c, a) omits b, which stands for 1: the one product and sum loop.
 
-    Exact sums run on integer numerators over one common denominator.  Float
-    sums accumulate in pair order.  Both keep every nonzero sum, as a chain
-    of additions would.
+    Operands are packed (see _pack) at order ``width``'s key width (k's by
+    default; width >= k), so that products of several orders from the same
+    operands share one packing.  Only the pairs of terms that land in
+    degrees lo..k are visited, each range found by bisection.  All sums run
+    in one dict: exact ones on integer numerators over one common
+    denominator, float ones in the order the terms are given, each product
+    over a's ascending terms, then b's, as (c * a) * b.  Every nonzero sum
+    is kept.
     """
-    if any(p.nvars != n or p.mode != mode for _, p in pairs):
-        raise ValueError(f"combine_trunc needs {mode} polynomials in {n} variables")
-    bits = k.bit_length() + 1
-    limit = (k + 1) << (n * bits)
-    packs = [(c, _pack(p, bits)) for c, p in pairs]
-    if mode == EXACT:
-        den = math.lcm(*(c.denominator * d for c, (_, _, _, d) in packs))
-        packs = [(c.numerator * (den // (c.denominator * pack[3])), pack) for c, pack in packs]
-    else:
-        den = 1
+    if k < max(lo, 0):
+        return MultiPoly._raw(n, {}, mode)
+    bits = (k if width is None else width).bit_length() + 1
+    exact = mode == EXACT
+    packs, den, d = [], 1, 1
+    for term in terms:
+        c, a, b = term if len(term) == 3 else (*term, None)
+        if a.nvars != n or a.mode != mode or b is not None and (b.nvars != n or b.mode != mode):
+            raise ValueError(f"combine_trunc needs {mode} polynomials in {n} variables")
+        a, b = _pack(a, bits), None if b is None else _pack(b, bits)
+        if exact:
+            d = c.denominator * a[3] * (1 if b is None else b[3])
+            den = math.lcm(den, d)
+        packs.append((c, d, a, b))
+    shift = n * bits
     sums = {}
     get = sums.get
-    for c, (_, keys, values, _) in packs:
-        cut = bisect_left(keys, limit)
-        for key, v in zip(keys[:cut], values[:cut]):
-            sums[key] = get(key, 0) + c * v
+    for c, d, (_, keys1, values1, _), b in packs:
+        f = c.numerator * (den // d) if exact else c
+        if b is None:
+            start, stop = bisect_left(keys1, lo << shift), bisect_left(keys1, (k + 1) << shift)
+            for key, v in zip(keys1[start:stop], values1[start:stop]):
+                sums[key] = get(key, 0) + f * v
+            continue
+        _, keys2, values2, _ = b
+        if not keys2:
+            continue
+        low2, high2 = keys2[0] >> shift, keys2[-1] >> shift
+        if lo > high2:
+            first = bisect_left(keys1, (lo - high2) << shift)
+            keys1, values1 = keys1[first:], values1[first:]
+        if f != 1:
+            values1 = [f * v for v in values1]
+        for key1, v1 in zip(keys1, values1):
+            deg1 = key1 >> shift
+            if deg1 + low2 > k:
+                break
+            start = bisect_left(keys2, (lo - deg1) << shift) if lo > deg1 + low2 else 0
+            cut = bisect_left(keys2, (k - deg1 + 1) << shift)
+            for key2, v2 in zip(keys2[start:cut], values2[start:cut]):
+                key = key1 + key2
+                sums[key] = get(key, 0) + v1 * v2
     return _from_sums(n, mode, bits, sums, den)
 
 
@@ -833,44 +815,64 @@ def compose(outer, inner, k):
 def divide_exact(f, d):
     """Quotient q with q*d = f exactly; raises NotDivisibleError otherwise.
 
-    Works in any number of variables via graded-lex reduction by the single
-    divisor d.
+    Leading-term elimination by the single divisor d on sorted packed keys
+    (see _pack), with a spare top bit in every exponent field to catch a
+    negative exponent.  Exact remainders stay integer numerators: where d's
+    leading numerator does not divide the remainder's, both the remainder
+    and the quotient so far are scaled up, and so is q's denominator.
     """
     _check_pair(f, d)
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    n, mode = f.nvars, f.mode
     if f.is_zero():
-        return MultiPoly.zero(f.nvars, f.mode)
-    key = lambda m: (mono_deg(m), m)
-    lead_d = max(d.terms, key=key)
-    lead_d_coeff = d.terms[lead_d]
-    rem = dict(f.terms)
-    quot = {}
+        return MultiPoly.zero(n, mode)
+    if d.degree() > f.degree():
+        raise NotDivisibleError(f"{d} does not divide {f}")
+    bits = max(_pack(f)[0], f.degree().bit_length() + 1)  # exponents stay below the top bit
+    _, keys, values, den_f = _pack(f, bits)
+    _, dkeys, dvalues, den_d = _pack(d, bits)
+    guard = sum(1 << (j * bits + bits - 1) for j in range(n))
+    lead_key, lead = dkeys[-1], dvalues[-1]
+    rest = list(zip(dkeys[:-1], dvalues[:-1]))
+    rem, quot, scale = dict(zip(keys, values)), {}, 1
     while rem:
-        lead_r = max(rem, key=key)
-        diff = tuple(a - b for a, b in zip(lead_r, lead_d))
-        if any(e < 0 for e in diff):
+        key = max(rem)
+        mono = key - lead_key
+        if mono & guard:  # a borrow out of some exponent field
             raise NotDivisibleError(f"{d} does not divide {f}")
-        c = rem[lead_r] / lead_d_coeff
-        quot[diff] = c
-        for m2, c2 in d.terms.items():
-            mono = mono_mul(diff, m2)
-            s = rem.get(mono, None)
-            s = -c * c2 if s is None else s - c * c2
-            if s == 0:
-                rem.pop(mono, None)
+        r = rem.pop(key)
+        if mode == EXACT:
+            missing = abs(lead) // math.gcd(r, lead)
+            if missing != 1:
+                scale *= missing
+                rem = {m: v * missing for m, v in rem.items()}
+                quot = {m: v * missing for m, v in quot.items()}
+                r *= missing
+            c = r // lead
+        else:
+            c = r / lead
+        quot[mono] = c
+        for dkey, v in rest:
+            m = mono + dkey
+            s = rem.get(m, 0) - c * v
+            if s:
+                rem[m] = s
             else:
-                rem[mono] = s
-    return MultiPoly(f.nvars, quot, f.mode)
+                rem.pop(m, None)
+    if mode == EXACT:
+        # f = F / den_f, d = D / den_d and scale * F = Q * D: q = Q den_d / (scale den_f)
+        quot = {m: v * den_d for m, v in quot.items()}
+    return _from_sums(n, mode, bits, quot, den_f * scale)
 
 
 def common_quotient(nums, dens):
     """The one q with q * dens[j] = nums[j] for every coordinate j.
 
     Divides the first coordinate with a nonzero divisor by divide_exact and
-    checks the others by multiplying back, comparing packed terms (see _pack)
-    so that no Fraction is built.  Raises NotDivisibleError when no
-    such q exists, ZeroDivisionError when every divisor is zero.
+    checks each other one as one combine_trunc, q * dens[j] - nums[j] = 0, on
+    packed terms, so that no Fraction is built.  Raises NotDivisibleError
+    when no such q exists, ZeroDivisionError when every divisor is zero.
     """
     pairs = list(zip(nums, dens, strict=True))
     num, den = next(((n, d) for n, d in pairs if not d.is_zero()), (None, None))
@@ -884,10 +886,8 @@ def common_quotient(nums, dens):
     for n, d in pairs:
         if n is num and d is den:
             continue
-        # packed forms at one width are canonical: equal keys, numerators
-        # and denominator mean equal polynomials
         k = max(q.degree() + d.degree(), n.degree(), 0)
-        if _product(q, d, k)._packed[1:] != _pack(n, k.bit_length() + 1)[1:]:
+        if not combine_trunc(q.nvars, q.mode, [(1, q, d), (-1, n)], k).is_zero():
             raise NotDivisibleError("no single polynomial factor works for every coordinate")
     return q
 

@@ -13,13 +13,16 @@ Phi(x, sigma) = x + sum_i v_i sigma^i / i! is evaluated online, in the
 manner of relaxed power series (van der Hoeven, "Relax, but don't be too
 lazy", J. Symbolic Comput. 34, 2002): each degree slice of each power
 sigma^i is computed once, as soon as the omegas it needs are known, and the
-degree-(p+l) slice of Phi(x, sigma_{l-1}) is a sum of slice products of
-known factors (poly.product_slice).  omega_l enters that degree only through
-v_1 sigma = P omega_l + ..., so each order costs one degree of product work
-and a whole recovery about as much as one shift jet at order K.  The slice
-sizes of h - Phi(x, sigma) come out on the way (RecoveryResult.residuals);
-in exact mode a successful division has already proved v = P omega_l, so
-that degree's residual is 0 without forming P omega_l again.
+degree-(p+l) slice of h - Phi(x, sigma_{l-1}) is one poly.combine_trunc per
+coordinate over known factors, (1, h - x) and (-1/i!, v_i, sigma^i).  Each
+v_i is read from the field's cached flow series only once a slice needs it.
+omega_l enters that degree only through v_1 sigma = P omega_l + ..., so
+each order costs one degree of product work and a whole recovery about as
+much as one shift jet at order K.  The slice sizes of h - Phi(x, sigma)
+come out on the way (RecoveryResult.residuals); in exact mode a successful
+division has already proved v = P omega_l, so that degree's residual is 0
+without forming P omega_l again, and in float mode v - P omega_l is one
+combine_trunc per coordinate.
 Nothing is composed with h, except once in float mode with p = 1: there h
 is first moved by the flow for time -omega_0, which leaves a shift function
 of order >= 1.
@@ -31,14 +34,14 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 
 from . import config
 from .errors import InconsistentJetError, NotDivisibleError, NotOnSubgroupError
 from .jet import _inv_factorial, hatted_shift_jet
 from .linalg import RatMatrix
 from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, as_poly, combine_trunc,
-                   common_quotient, mono_mul, monomials_of_degree, product_slice)
+                   common_quotient, monomials_of_degree, product_slice)
 
 
 @dataclasses.dataclass
@@ -113,7 +116,7 @@ def divide_by_initial_part(v, p_vec, l=None, tol=None):
         offset = block * len(targets)
         for mono_p, c in p_i.terms.items():
             for u_idx, mono_u in enumerate(unknowns):
-                a[offset + target_index[mono_mul(mono_p, mono_u)], u_idx] += c
+                a[offset + target_index[tuple(map(add, mono_p, mono_u))], u_idx] += c
     b = np.array([v_i.coefficient(m) for v_i in v_polys for m in targets], dtype=float)
     sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < len(unknowns):
@@ -298,9 +301,9 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
     # >= i(p-1) + 1, so only the terms with i(p-1) + 1 + i * order <= d reach
     # degree d, and they need sigma^i only through degree d - i(p-1) - 1:
     # omega_l is missing there only for i = 1, where it contributes P omega_l.
-    # As d <= K, no i past (K - 1) // max(p - 1, 1) is reached.
-    vs = field.flow_coeffs((k - 1) // max(p - 1, 1), k)
-    pows, known, order = [None, MultiPoly.zero(n, mode)], [None, None], math.inf
+    # vs is v_1, v_2, ..., fetched from the field's cached flow series only as
+    # far as some degree reaches.
+    pows, known, order, vs = [None, MultiPoly.zero(n, mode)], [None, None], math.inf, []
     for l in range(first, k - p + 1):
         d = p + l
         terms = [[(1, part)] for part in hx[d]]
@@ -313,11 +316,14 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
                 known[i] += 1
                 step = product_slice(pows[i - 1], pows[1], known[i], k)
                 pows[i] = combine_trunc(n, mode, [(1, pows[i]), (1, step)], k)
+            if i > len(vs):
+                vs = field.flow_coeffs(i, k)
             inv_fact = -_inv_factorial(i, mode)
-            for pairs, v_ij in zip(terms, vs[i - 1].coords):
-                pairs.append((inv_fact, product_slice(v_ij, pows[i], d, k)))
+            for coord, v_ij in zip(terms, vs[i - 1].coords):
+                coord.append((inv_fact, v_ij, pows[i]))
             i += 1
-        v = PolyMap([combine_trunc(n, mode, pairs, k) for pairs in terms])
+        # the degree-d slice of h - Phi(x, sigma), one sum per coordinate
+        v = PolyMap([combine_trunc(n, mode, coord, d, d, k) for coord in terms])
         omegas.append(divide_by_initial_part(v, field.P, l, tol))
         omega = omegas[l].poly
         if mode == EXACT:
@@ -326,9 +332,8 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
             residuals.append(Fraction(0))
         else:
             # the degree-d slice of h - Phi(x, sigma + omega_l)
-            rest = PolyMap([
-                combine_trunc(n, mode, [(1, v_j), (-1, product_slice(q.poly, omega, d, k))], k)
-                for v_j, q in zip(v.coords, field.P)])
+            rest = PolyMap([combine_trunc(n, mode, [(1, v_j), (-1, q.poly, omega)], d, d, k)
+                            for v_j, q in zip(v.coords, field.P)])
             residuals.append(rest.max_abs_coeff())
             if d < k and not residuals[-1] <= bound:
                 raise _differs(omegas, l + 1, d, rest)

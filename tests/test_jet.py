@@ -187,6 +187,59 @@ def test_hatted_shift_is_conjugated_shift(quartic_field):
         assert lhs == rhs
 
 
+def _whole_power_shift(field, h, beta, k):
+    """sum_i b^i / i! (w_i o h) over i = 0..K, every power b^i whole to order
+    K: the shift sum without the rule that cuts b^i at K - ord(w_i o h)."""
+    c = beta.constant_term() if field.p == 1 else 0
+    b = beta - c
+    total = [MultiPoly.zero(field.n, field.mode)] * field.n
+    for i, w in enumerate(field.flow_series(c, k, k)):
+        power = b.pow_trunc(i, k).scale(Fraction(1, math.factorial(i)) if field.mode == EXACT
+                                        else 1 / math.factorial(i))
+        total = [t + q.mul_trunc(power, k) for t, q in zip(total, compose(w, h, k).coords)]
+    return PolyMap(total, k)
+
+
+def _nilpotent_field():
+    """x' = y^2, y' = z^2, z' = 0: p = 2, and v_4 = v_5 = ... = 0."""
+    _, y, z = (MultiPoly.variable(3, i) for i in range(3))
+    return VectorFieldJet(PolyMap([y * y, z * z, MultiPoly.zero(3)]))
+
+
+def _truncation_cases():
+    rng = random.Random(16)
+    cases = []
+    for field in (rand_field(rng, 2, 2), rand_field(rng, 2, 3), _nilpotent_field()):
+        n = field.n
+        ident = PolyMap.identity(n)
+        bent = ident + PolyMap([rand_poly(rng, n, 4, min_deg=2, density=0.4) for _ in range(n)])
+        for ord_beta in (0, 1):
+            beta = rand_poly(rng, n, 3, min_deg=ord_beta, nonzero=True)
+            cases += [(field, ident, beta), (field, bent, beta)]
+    return cases
+
+
+@pytest.mark.parametrize("case", _truncation_cases())
+def test_cut_powers_give_the_whole_power_sum(case):
+    field, h, beta = case
+    for k in (1, 5, 8):
+        assert hatted_shift_jet(field, h, beta, k) == _whole_power_shift(field, h, beta, k)
+
+
+@pytest.mark.parametrize("field, c", [
+    (VectorFieldJet(rand_field(random.Random(42), 2, 2).field.to_float()), 0.0),
+    (_rotation_field(), 0.625)])
+def test_float_shift_jet_matches_the_whole_power_sum(field, c):
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    h = PolyMap([x + 0.5 * y * y, y - 0.25 * x * y + x * x * x])
+    beta = c + 0.5 * x - y + 0.75 * x * y
+    for k in (4, 7):
+        for got, inner in ((shift_jet(field, beta, k), PolyMap.identity(2, FLOAT)),
+                           (hatted_shift_jet(field, h, beta, k), h)):
+            want = _whole_power_shift(field, inner, beta, k)
+            assert (got - want).max_abs_coeff() <= 1e-12 * want.max_abs_coeff()
+
+
 def test_flow_time_jet_linear_matches_expm():
     rng = random.Random(11)
     rows = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]

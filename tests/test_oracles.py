@@ -24,8 +24,8 @@ from jetflow.config import DELTA0_TOL
 from jetflow.errors import InconsistentJetError, NotDivisibleError
 from jetflow.linalg import RatMatrix, minimal_polynomial
 from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, bivariate_homog_gcd,
-                          common_quotient, compose, divide_exact, monomials_of_degree,
-                          product_slice)
+                          combine_trunc, common_quotient, compose, divide_exact,
+                          monomials_of_degree, product_slice)
 from jetflow.recover import delta0_linear, divide_by_initial_part
 from jetflow.univar import count_real_roots, rational_roots, squarefree_decomposition
 
@@ -211,18 +211,22 @@ def test_common_quotient_matches_sympy(case):
         assert common_quotient(nums, dens).terms == from_sympy(expected, dens[0].nvars)
 
 
-def schoolbook_mul_trunc(a, b, k):
-    """The float jet product term by term: operands in (degree, exponents)
-    order, sums in that order, then exact zeros dropped."""
-    items1 = sorted((sum(m), m, c) for m, c in a.terms.items())
-    items2 = sorted((sum(m), m, c) for m, c in b.terms.items())
+def schoolbook_combine(terms, lo, k):
+    """The float sum of c * a * b over terms (c, a, b), or c * a over terms
+    (c, a), term by term: the terms in the order given, each product over
+    a's terms in (degree, exponents) order, then b's, as (c * a) * b, only
+    degrees lo..k, then exact zeros dropped."""
     out = {}
-    for d1, m1, c1 in items1:
-        for d2, m2, c2 in items2:
-            if d1 + d2 <= k:
-                mono = tuple(x + y for x, y in zip(m1, m2))
-                out[mono] = out[mono] + c1 * c2 if mono in out else c1 * c2
-    return {m: c for m, c in out.items() if c != 0}
+    for c, a, *b in terms:
+        items1 = sorted((sum(m), m, v) for m, v in a.terms.items())
+        items2 = sorted((sum(m), m, v) for m, v in b[0].terms.items()) if b else [(0, (), None)]
+        for d1, m1, v1 in items1:
+            for d2, m2, v2 in items2:
+                if lo <= d1 + d2 <= k:
+                    mono = tuple(x + y for x, y in zip(m1, m2)) if m2 else m1
+                    v = c * v1 if v2 is None else c * v1 * v2
+                    out[mono] = out[mono] + v if mono in out else v
+    return {m: v for m, v in out.items() if v != 0}
 
 
 FLOATS = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
@@ -233,7 +237,57 @@ FLOATS = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
 @given(pair=poly_pairs(coeffs=FLOATS, mode=FLOAT), k=st.integers(-1, 12))
 def test_float_mul_trunc_matches_schoolbook(pair, k):
     a, b = pair
-    assert a.mul_trunc(b, k).terms == schoolbook_mul_trunc(a, b, k)
+    assert a.mul_trunc(b, k).terms == schoolbook_combine([(1, a, b)], 0, k)
+
+
+@st.composite
+def combinations(draw, mode=EXACT):
+    """(nvars, terms, lo, k, width) for combine_trunc: up to three terms
+    (c, a, b) or (c, a) with b omitted, in one mode (exact coefficients and
+    factors with mixed denominators), any operand possibly empty, a degree
+    window lo..k that may lie above every product's degree, and an optional
+    packing order >= k."""
+    nvars = draw(st.integers(1, 3))
+    coeffs = COEFFS if mode == EXACT else FLOATS
+    operands = polys(nvars, coeffs=coeffs, mode=mode)
+    terms = [(draw(coeffs), *draw(st.lists(operands, min_size=1, max_size=2)))
+             for _ in range(draw(st.integers(0, 3)))]
+    k = draw(st.integers(-1, 12))
+    width = draw(st.none() | st.integers(max(k, 0), 40))
+    return nvars, terms, draw(st.integers(0, 12)), k, width
+
+
+W = MultiPoly(2, {(1, 0): Fraction(1, 2), (0, 2): Fraction(-2, 3)})
+V = MultiPoly(2, {(0, 0): Fraction(3, 5), (1, 1): 7})
+
+
+@ORACLE
+@given(case=combinations())
+@example(case=(2, [(Fraction(1, 6), W, V), (Fraction(-5, 4), V)], 0, 6, None))
+@example(case=(2, [(Fraction(1, 6), W, V), (1, W)], 5, 9, 20))  # lo > deg W + deg V
+@example(case=(2, [(1, MultiPoly.zero(2), V), (2, W, MultiPoly.zero(2))], 0, 4, None))
+@example(case=(2, [], 0, 4, None))
+def test_combine_trunc_matches_sympy(case):
+    nvars, terms, lo, k, width = case
+    total = sympy.Poly(0, *gens(nvars), domain=sympy.QQ)
+    for c, *ops in terms:
+        product = sympy.Poly(sympy.Rational(c.numerator, c.denominator), *gens(nvars),
+                             domain=sympy.QQ)
+        for p in ops:
+            product *= to_sympy(p)
+        total += product
+    expected = {m: c for m, c in from_sympy(total, nvars, k).items() if sum(m) >= lo}
+    assert combine_trunc(nvars, EXACT, terms, k, lo, width).terms == expected
+
+
+@ORACLE
+@given(case=combinations(mode=FLOAT))
+@example(case=(2, [(0.1, W.to_float(), V.to_float()), (-3.0, V.to_float())], 2, 5, None))
+@example(case=(2, [(1.0, W.to_float(), V.to_float())], 5, 9, 20))
+def test_float_combine_trunc_matches_schoolbook(case):
+    nvars, terms, lo, k, width = case
+    got = combine_trunc(nvars, FLOAT, terms, k, lo, width).terms
+    assert same_terms(got, schoolbook_combine(terms, lo, k))
 
 
 # NaN, and magnitudes whose products underflow to 0.0 or overflow to inf

@@ -6,7 +6,7 @@ import pytest
 
 from jetflow.errors import NotDivisibleError
 from jetflow.poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap,
-                          bivariate_homog_gcd, compose, divide_exact)
+                          bivariate_homog_gcd, common_quotient, compose, divide_exact)
 
 from conftest import rand_poly
 
@@ -208,6 +208,21 @@ def test_divide_exact_roundtrip():
         f = rand_poly(rng, 2, 3)
         d = rand_poly(rng, 2, 2, nonzero=True)
         assert divide_exact(f * d, d) == f
+
+
+def test_common_quotient_of_packed_inputs_builds_no_terms_view(xy):
+    x, y = xy
+    # every operand below is computed on packed keys, so none has .terms yet
+    q = x - (x * y).scale(Fraction(2, 3))
+    dens = [(x * x).scale(3) + y.scale(Fraction(1, 2)), y * y - x, x - x]
+    nums = [q * d for d in dens]
+    got = common_quotient(nums, dens)
+    assert all(p._terms is None for p in (got, q, *nums, *dens))
+    assert got == q
+    with pytest.raises(NotDivisibleError, match="no single polynomial factor"):
+        common_quotient([nums[0], nums[1] + x, nums[2]], dens)
+    with pytest.raises(NotDivisibleError, match="is not a polynomial multiple of"):
+        common_quotient([nums[0] + y * y, *nums[1:]], dens)
 
 
 def test_evaluate(xy):

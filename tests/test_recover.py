@@ -16,7 +16,7 @@ from jetflow.poly import EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, monomials_
 from jetflow.recover import (RecoveryResult, delta0_linear, divide_by_initial_part,
                              recover_shift_jet, verify_residual)
 
-from conftest import rand_poly
+from conftest import rand_field, rand_poly
 
 
 def P_example():
@@ -185,6 +185,23 @@ def test_recover_round_trip_three_variables():
     for l in range(6 - field.p + 1):
         assert res.omegas[l].poly == alpha.homogeneous_part(l).poly
     assert verify_residual(field, h, res.omegas, 6)
+
+
+def test_exact_recovery_takes_only_the_flow_coefficients_it_reads():
+    # with ord sigma >= 1 the slice of degree d <= K meets v_i only while
+    # i (p - 1 + ord sigma) < d, well short of the bound (K - 1) // (p - 1)
+    rng = random.Random(5)
+    fmap = rand_field(rng, 2, 2).field
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    alpha = x - y.scale(2) + (x * y).scale(Fraction(1, 3))
+    k = 10
+    h = shift_jet(VectorFieldJet(fmap), alpha, k)
+    field = VectorFieldJet(fmap)  # a fresh flow cache
+    res = recover_shift_jet(field, h, k)
+    assert [om.poly for om in res.omegas] == [alpha.homogeneous_part(l).poly
+                                              for l in range(k - 1)]
+    lie_steps = len(field._series[k][1]) - 1  # the cached list is x, v_1, v_2, ...
+    assert lie_steps < (k - 1) // (field.p - 1)
 
 
 def test_recover_float_p1_rotation_with_quadratic_terms():
