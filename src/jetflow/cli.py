@@ -372,6 +372,25 @@ def _emit(args, command, result=None, error=None, lines=()):
             print(f"error ({error['kind']}): {error['detail']}", file=sys.stderr)
 
 
+def _join_dash_values(parser, argv):
+    """argv with each value that starts with "-" joined onto the option that
+    takes it ("-L -1,0" becomes "-L=-1,0"), which argparse would otherwise
+    read as an option.  The options are the parser's own and, once it is
+    named, the subcommand's; a token that is one of them stays an option."""
+    commands = parser._subparsers._group_actions[0].choices
+    options, out = parser._option_string_actions, []
+    for token in argv:
+        action = options.get(out[-1]) if out else None
+        if action is not None and action.nargs != 0:
+            if token.startswith("-") and token not in options:
+                out[-1] += "=" + token
+                continue
+        elif options is parser._option_string_actions and token in commands:
+            options = commands[token]._option_string_actions
+        out.append(token)
+    return out
+
+
 def run(argv, _batches=()):
     """Execute one command line; returns the process exit code.
 
@@ -380,7 +399,7 @@ def run(argv, _batches=()):
     """
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(parser, argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -7,22 +7,23 @@ coordinate polynomials sharing the same variables and an optional truncation
 order K, and represents a K-jet of a map at the origin.
 
 Every product and sum of products is one kernel, combine_trunc, the degree
-lo..k terms of sum c * a * b with b possibly left out; ``*``, mul_trunc and
-product_slice are one-term calls of it.  It and the Lie derivative of a
-vector field (LieDerivative, one fused step per flow coefficient) run on
-packed graded keys: each exponent tuple becomes one int with the total
-degree in its top field (Monagan and Pearce, "Polynomial division using
-dynamic arrays, heaps, and packed exponent vectors", CASC 2007), so that
-multiplying monomials is one integer addition and truncation one
-comparison.  Exact coefficients there are integer numerators over one common
-denominator, so a Fraction is built once per output term.  Float sums keep
-every nonzero sum, in the orders documented at combine_trunc and
-LieDerivative.  Queries, sums, scalings and degree slices read the packed
-form, which holds every term; ``.terms`` is the tuple-keyed view, built on
-first access.  Exact division, by one polynomial (divide_exact) or
-coordinatewise by a vector (common_quotient), reduces by a single divisor in
-graded-lex order (Cox, Little and O'Shea, "Ideals, Varieties, and
-Algorithms", 2.3) on the packed keys, with integer numerators.
+lo..k terms of sum c * a * b with b possibly left out; ``*`` and mul_trunc
+are one-term calls of it.  It and the Lie derivative of a vector field
+(LieDerivative, one fused step per flow coefficient) run on packed graded
+keys: each exponent tuple becomes one int with the total degree in its top
+field (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors", CASC 2007), so that multiplying monomials is
+one integer addition and truncation one comparison.  Exact coefficients
+there are integer numerators over one common denominator, so a Fraction is
+built once per output term.  Float sums keep every nonzero sum, in the
+orders documented at combine_trunc and LieDerivative.  Queries, sums,
+scalings and degree slices read the packed form, which holds every term and
+is set once (see _pack; its key width depends on degree alone, see _width);
+``.terms`` is the tuple-keyed view, built on first access.  Exact division,
+by one polynomial (divide_exact) or coordinatewise by a vector
+(common_quotient), reduces by a single divisor in graded-lex order (Cox,
+Little and O'Shea, "Ideals, Varieties, and Algorithms", 2.3) on the packed
+keys, with integer numerators.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -144,17 +145,6 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         mono = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {mono: 1}, mode)
-
-    @classmethod
-    def _raw(cls, nvars, terms, mode):
-        """Internal: terms already clean (no zeros, correct tuples, coerced), or
-        None when the caller sets the packed form."""
-        self = object.__new__(cls)
-        self.nvars = nvars
-        self.mode = mode
-        self._terms = terms
-        self._packed = None
-        return self
 
     @property
     def terms(self):
@@ -307,7 +297,7 @@ class MultiPoly:
                 continue
             lowered = tuple(v - 1 if i == index else v for i, v in enumerate(mono))
             out[lowered] = c * e
-        return MultiPoly._raw(self.nvars, out, self.mode)
+        return MultiPoly(self.nvars, out, self.mode)
 
     def rename_vars(self, index_map, new_nvars):
         """Inject into a ring with ``new_nvars`` variables; old var i -> index_map[i]."""
@@ -318,13 +308,8 @@ class MultiPoly:
                 if e:
                     new[index_map[i]] += e
             key = tuple(new)
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return MultiPoly._raw(new_nvars, out, self.mode)
+            out[key] = out.get(key, 0) + c
+        return MultiPoly(new_nvars, out, self.mode)
 
     # -- evaluation and conversion ------------------------------------------
 
@@ -367,9 +352,8 @@ class MultiPoly:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
+            sign, mag = "-" if coeff < 0 else "+", abs(coeff)
             if self.mode == EXACT:
-                sign = "-" if coeff < 0 else "+"
-                mag = -coeff if coeff < 0 else coeff
                 if not factors:
                     body = str(mag)
                 elif mag == 1:
@@ -377,8 +361,6 @@ class MultiPoly:
                 else:
                     body = "*".join([str(mag)] + factors)
             else:
-                sign = "-" if coeff < 0 else "+"
-                mag = abs(coeff)
                 body = "*".join([repr(mag)] + factors) if factors else repr(mag)
             pieces.append((sign, body))
         first_sign, first_body = pieces[0]
@@ -405,6 +387,14 @@ def _keys(monos, bits):
     return keys
 
 
+def _width(d):
+    """Bits per key field for degree (or kernel order) d: every exponent up
+    to d with a spare top bit (divide_exact's borrow guard).  The floor of 6
+    gives every degree below 32 one width and keeps a key in up to four
+    variables within one 30-bit CPython digit."""
+    return max(6, d.bit_length() + 1)
+
+
 def _pack(p, bits=None):
     """p's terms in packed form: (bits, keys, values, denominator).
 
@@ -413,17 +403,16 @@ def _pack(p, bits=None):
     multiplies monomials and ascending keys are ascending (degree, exponent
     tuple).  The keys list is sorted.  Exact values are integer numerators
     over the common denominator (the lcm of the coefficients' denominators);
-    float values are the coefficients, over 1.  With ``bits`` None this is
-    p's own packed form, which holds every term: p keeps it, packed from
-    ``.terms`` on first need (at ``bits`` if p's degree fits there).  At
-    another width terms of degree >= 2**bits are left out, and p keeps the
-    repacking only when it drops none.
+    float values are the coefficients, over 1.  With ``bits`` None or p's
+    own width this is p's own packed form, which holds every term.  It is set
+    once: at birth from a kernel, or packed from ``.terms`` at the width of
+    p's degree on first need.  At another width the result is a re-keyed copy
+    of the terms of degree < 2**bits, which p does not keep.
     """
     packed = p._packed
     if packed is None:
         terms = p._terms
-        deg = max(map(sum, terms), default=0)
-        width = bits if bits is not None and deg < 1 << bits else deg.bit_length() + 1
+        width = _width(max(map(sum, terms), default=0))
         items = sorted(zip(_keys(terms, width), terms.values()), key=itemgetter(0))
         keys = [key for key, _ in items]
         if p.mode == EXACT:
@@ -433,14 +422,11 @@ def _pack(p, bits=None):
             den = 1
             values = [c for _, c in items]
         p._packed = packed = (width, keys, values, den)
-    if bits is None or bits == packed[0]:
-        return packed
     width, keys, values, den = packed
+    if bits is None or bits == width:
+        return packed
     cut = bisect_left(keys, 1 << bits << p.nvars * width)  # the terms of degree < 2**bits
-    repacked = (bits, _keys(_unpack_keys(p.nvars, width, keys[:cut]), bits), values[:cut], den)
-    if cut == len(keys):
-        p._packed = repacked
-    return repacked
+    return bits, _keys(_unpack_keys(p.nvars, width, keys[:cut]), bits), values[:cut], den
 
 
 def _from_sums(n, mode, bits, sums, den):
@@ -460,7 +446,8 @@ def _from_packed(n, mode, bits, keys, values, den):
         g = math.gcd(den, *values)
         den //= g
         values = [v // g for v in values]
-    result = MultiPoly._raw(n, None, mode)
+    result = object.__new__(MultiPoly)
+    result.nvars, result.mode, result._terms = n, mode, None
     result._packed = (bits, keys, values, den)
     return result
 
@@ -492,7 +479,7 @@ class LieDerivative:
     def __init__(self, field, k):
         n = self.nvars = field.nvars
         self.mode, self.k = field.mode, k
-        self.bits = bits = k.bit_length() + 1
+        self.bits = bits = _width(k)
         shift = n * bits
         packs = [_pack(f, bits) for f in field.coords]
         self.den = math.lcm(*(pack[3] for pack in packs))
@@ -529,20 +516,14 @@ class LieDerivative:
         return _from_sums(n, self.mode, bits, sums, den * self.den)
 
 
-def product_slice(a, b, d, k):
-    """The degree-d slice of a*b, for d <= k, with both operands packed at
-    order k's width: slices of every degree up to k reuse one packing of
-    each operand."""
-    return combine_trunc(a.nvars, a.mode, [(1, a, b)], d, d, k)
-
-
 def combine_trunc(n, mode, terms, k, lo=0, width=None):
     """The terms of degree lo..k of sum(c * a * b for c, a, b in terms), where
     a term (c, a) omits b, which stands for 1: the one product and sum loop.
 
-    Operands are packed (see _pack) at order ``width``'s key width (k's by
-    default; width >= k), so that products of several orders from the same
-    operands share one packing.  Only the pairs of terms that land in
+    The result is packed at order ``width``'s key width (k's by default;
+    width >= k; see _width), and an operand of another width is re-keyed to
+    it (see _pack), so that a computation to order K that passes K keeps its
+    lower-order products at K's width.  Only the pairs of terms that land in
     degrees lo..k are visited, each range found by bisection.  All sums run
     in one dict: exact ones on integer numerators over one common
     denominator, float ones in the order the terms are given, each product
@@ -550,8 +531,8 @@ def combine_trunc(n, mode, terms, k, lo=0, width=None):
     is kept.
     """
     if k < max(lo, 0):
-        return MultiPoly._raw(n, {}, mode)
-    bits = (k if width is None else width).bit_length() + 1
+        return MultiPoly.zero(n, mode)
+    bits = _width(k if width is None else width)
     exact = mode == EXACT
     packs, den, d = [], 1, 1
     for term in terms:
@@ -816,10 +797,10 @@ def divide_exact(f, d):
     """Quotient q with q*d = f exactly; raises NotDivisibleError otherwise.
 
     Leading-term elimination by the single divisor d on sorted packed keys
-    (see _pack), with a spare top bit in every exponent field to catch a
-    negative exponent.  Exact remainders stay integer numerators: where d's
-    leading numerator does not divide the remainder's, both the remainder
-    and the quotient so far are scaled up, and so is q's denominator.
+    at f's own width, whose spare top bit per exponent field (see _width)
+    catches a negative exponent.  Exact remainders stay integer numerators:
+    where d's leading numerator does not divide the remainder's, both the
+    remainder and the quotient so far are scaled up, and so is q's denominator.
     """
     _check_pair(f, d)
     if d.is_zero():
@@ -829,8 +810,7 @@ def divide_exact(f, d):
         return MultiPoly.zero(n, mode)
     if d.degree() > f.degree():
         raise NotDivisibleError(f"{d} does not divide {f}")
-    bits = max(_pack(f)[0], f.degree().bit_length() + 1)  # exponents stay below the top bit
-    _, keys, values, den_f = _pack(f, bits)
+    bits, keys, values, den_f = _pack(f)  # its width leaves every top bit spare
     _, dkeys, dvalues, den_d = _pack(d, bits)
     guard = sum(1 << (j * bits + bits - 1) for j in range(n))
     lead_key, lead = dkeys[-1], dvalues[-1]

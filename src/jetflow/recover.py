@@ -41,7 +41,7 @@ from .errors import InconsistentJetError, NotDivisibleError, NotOnSubgroupError
 from .jet import _inv_factorial, hatted_shift_jet
 from .linalg import RatMatrix
 from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, as_poly, combine_trunc,
-                   common_quotient, monomials_of_degree, product_slice)
+                   common_quotient, monomials_of_degree)
 
 
 @dataclasses.dataclass
@@ -314,7 +314,7 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
                 known.append(i * order - 1)
             while i > 1 and known[i] < d - i * (p - 1) - 1:
                 known[i] += 1
-                step = product_slice(pows[i - 1], pows[1], known[i], k)
+                step = combine_trunc(n, mode, [(1, pows[i - 1], pows[1])], known[i], known[i], k)
                 pows[i] = combine_trunc(n, mode, [(1, pows[i]), (1, step)], k)
             if i > len(vs):
                 vs = field.flow_coeffs(i, k)

@@ -448,3 +448,22 @@ def test_cli_huge_exponent_is_a_parse_error(capsys):
     assert doc["error"]["kind"] == "ParseError"
     assert doc["error"]["offset"] == 2
     assert parse_poly(f"x^{MAX_EXPONENT}", ["x"]).degree() == MAX_EXPONENT
+
+
+def test_cli_values_that_start_with_a_minus(tmp_path, capsys):
+    from jetflow.serialize import jets_to_json
+
+    assert run(["classify-exp", "-L", "-1,0;0,-1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["tag"] == "ClosedLine"
+    assert run(["profile", "-g", "-x*y"]) == 0
+    assert "l = 2" in capsys.readouterr().out
+    # the grammar reads -x^2 as (-x)^2: F = x^2, Phi(x, -x) = x / (1 + x^2)
+    assert run(["shift-jet", "-F", "-x^2", "-a", "-x", "-K", "3"]) == 0
+    assert "F_alpha = (-x^3 + x)" in capsys.readouterr().out
+    path = tmp_path / "jets.json"
+    path.write_text(json.dumps(jets_to_json([MultiPoly.const(2, 1), MultiPoly.variable(2, 0)], 2)))
+    assert run(["borel", "--jets", str(path), "--eval", "-0.01,0.02", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["point"] == [-0.01, 0.02]
+    # an option of the subcommand in place of a value stays an option
+    assert run(["shift-jet", "-F", "x", "-K", "3", "-a", "--json"]) == 1
+    assert "argument -a: expected one argument" in capsys.readouterr().err

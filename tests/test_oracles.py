@@ -25,7 +25,7 @@ from jetflow.errors import InconsistentJetError, NotDivisibleError
 from jetflow.linalg import RatMatrix, minimal_polynomial
 from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, bivariate_homog_gcd,
                           combine_trunc, common_quotient, compose, divide_exact,
-                          monomials_of_degree, product_slice)
+                          monomials_of_degree)
 from jetflow.recover import delta0_linear, divide_by_initial_part
 from jetflow.univar import count_real_roots, rational_roots, squarefree_decomposition
 
@@ -112,7 +112,7 @@ def test_product_slice_matches_sympy(pair, d, extra):
     a, b = pair
     expected = {m: c for m, c in from_sympy(to_sympy(a) * to_sympy(b), a.nvars).items()
                 if sum(m) == d}
-    assert product_slice(a, b, d, d + extra).terms == expected
+    assert combine_trunc(a.nvars, a.mode, [(1, a, b)], d, d, d + extra).terms == expected
 
 
 @ORACLE
@@ -546,8 +546,9 @@ def sympy_flow_coeffs(fmap, imax, k):
     return [[from_sympy(v, fmap.nvars) for v in coords] for coords in vs]
 
 
-# K on both sides of every edge of the packing width k.bit_length() + 1
-PACKING_EDGES = (3, 4, 7, 8, 15, 16)
+# K at the 6-bit floor of the packing width max(6, k.bit_length() + 1) and
+# on both sides of its first edge: K + 2 (asked for below) crosses it too
+PACKING_EDGES = (4, 31, 32)
 
 
 @st.composite

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetflow import VectorFieldJet, poly, recover_shift_jet, shift_jet
 from jetflow.errors import NotDivisibleError
 from jetflow.poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap,
                           bivariate_homog_gcd, common_quotient, compose, divide_exact)
@@ -284,3 +285,54 @@ def test_a_narrow_product_leaves_the_operand_whole(xy):
         assert p.max_abs_coeff() == 3
         assert not p.is_homogeneous()
         assert p.truncate(5).terms == p.terms == {(1, 0): 1, (0, 5): 3}
+
+
+def _count_rekeyings(monkeypatch):
+    """A list that grows by one for every call of _pack that re-keys: one
+    whose result is not p's packed form, or that replaces a form p had."""
+    rekeyed, real = [], poly._pack
+
+    def counting(p, bits=None):
+        own = p._packed
+        packed = real(p, bits)
+        if packed is not p._packed or own is not None and own is not packed:
+            rekeyed.append((p.degree(), bits))
+        return packed
+
+    monkeypatch.setattr(poly, "_pack", counting)
+    return rekeyed
+
+
+QUARTIC_ALPHA = MultiPoly(2, {(0, 0): 2, (1, 0): -1, (0, 1): 3, (2, 0): 1, (1, 2): -2, (0, 3): 1})
+
+
+def _recovers(field, alpha, k):
+    h = shift_jet(field, alpha, k)
+    result = recover_shift_jet(field, h, k)
+    return result.residual_ok and [o.poly for o in result.omegas] == alpha.graded_parts(k - field.p)
+
+
+def test_round_trips_below_degree_32_rekey_nothing(monkeypatch, quartic_field):
+    rekeyed = _count_rekeyings(monkeypatch)
+    assert _recovers(quartic_field, QUARTIC_ALPHA, 18)
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    rotation = VectorFieldJet(PolyMap([(x * x).scale(0.5) - y.scale(0.8),
+                                       x.scale(0.8) - (x * y).scale(0.25)]))
+    h = shift_jet(rotation, MultiPoly(2, {(0, 0): 0.6, (1, 0): 0.25, (0, 1): -0.5}, FLOAT), 8)
+    assert recover_shift_jet(rotation, h, 8).residual_ok
+    assert rekeyed == []
+
+
+def test_an_operand_keeps_its_packed_form_through_a_wider_product(xy):
+    x, y = xy
+    # one operand built from tuples, one computed on packed keys, both of
+    # degree below 32, against a product at order 40 (a wider key)
+    for p in (MultiPoly(2, {(1, 0): 1, (0, 5): 3}), x + (y ** 5).scale(3)):
+        packed = poly._pack(p)
+        assert p.mul_trunc(x + y, 40).degree() == 6
+        assert p._packed is packed
+
+
+def test_a_round_trip_across_the_width_edge_recovers_alpha(quartic_field):
+    # at K = 33 the kernels pack at 7 bits; the field and alpha are packed at 6
+    assert _recovers(quartic_field, QUARTIC_ALPHA, 33)
