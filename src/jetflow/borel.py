@@ -51,10 +51,12 @@ class BorelRealization:
 
 def _as_point(point, nvars):
     if nvars == 1 and isinstance(point, (int, float)):
-        return [float(point)]
+        point = [point]
     pt = [float(v) for v in point]
     if len(pt) != nvars:
         raise ValueError(f"point has {len(pt)} coordinates, expected {nvars}")
+    if not all(map(math.isfinite, pt)):
+        raise ValueError(f"point {pt} has a coordinate that is not finite")
     return pt
 
 
@@ -115,7 +117,9 @@ def finite_diff_jet(evaluator, k, h, nvars=None):
     <= 2k, so truncation error vanishes on the bump plateau).  Accepts a bare
     evaluator (pass nvars) or a BorelRealization, in which case the stencil
     is checked against the plateau radius.  Returns a dict mapping exponent
-    tuples to coefficients, for all |beta| <= k.
+    tuples to coefficients, for all |beta| <= k.  Raises ValueError for a
+    step that is not finite and positive or whose k-th power underflows to
+    0, and for a coefficient that comes out non-finite.
 
     n = 1 and n = 2 only.
     """
@@ -128,13 +132,15 @@ def finite_diff_jet(evaluator, k, h, nvars=None):
         nvars = 1
     if nvars not in (1, 2):
         raise ValueError("finite differences support one or two variables")
-    if h <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step must be finite and positive, got {h!r}")
     reach = k * h * math.sqrt(nvars)
     if plateau is not None and reach > plateau:
         raise ValueError(
             f"stencil of radius {reach:.3g} exits the bump plateau {plateau:.3g}; "
             "shrink the step")
+    if h ** k == 0:
+        raise ValueError(f"step {h!r} to the power {k} underflows to 0")
 
     weights = _stencil_weights(k)
     points = list(range(-k, k + 1))
@@ -144,18 +150,20 @@ def finite_diff_jet(evaluator, k, h, nvars=None):
         for j in range(k + 1):
             acc = sum(w * y for w, y in zip(weights[j], samples))
             out[(j,)] = acc / h ** j
-        return out
-
-    samples = [[evaluator([m1 * h, m2 * h]) for m2 in points] for m1 in points]
-    for u in range(k + 1):
-        for v in range(k + 1 - u):
-            acc = 0.0
-            for i1, w1 in enumerate(weights[u]):
-                if w1 == 0.0:
-                    continue
-                row = samples[i1]
-                acc += w1 * sum(w2 * row[i2] for i2, w2 in enumerate(weights[v]))
-            out[(u, v)] = acc / h ** (u + v)
+    else:
+        samples = [[evaluator([m1 * h, m2 * h]) for m2 in points] for m1 in points]
+        for u in range(k + 1):
+            for v in range(k + 1 - u):
+                acc = 0.0
+                for i1, w1 in enumerate(weights[u]):
+                    if w1 == 0.0:
+                        continue
+                    row = samples[i1]
+                    acc += w1 * sum(w2 * row[i2] for i2, w2 in enumerate(weights[v]))
+                out[(u, v)] = acc / h ** (u + v)
+    for mono, c in out.items():
+        if not math.isfinite(c):
+            raise ValueError(f"coefficient {mono} came out {c!r}; choose another step")
     return out
 
 

@@ -126,17 +126,17 @@ def _inv_factorial(i, mode):
 
 
 def flow_bijet(field, order, k):
-    """T(x, t) = x + sum v_i(x) t^i / i!, as a BiJet."""
+    """T(x, t) = x + sum v_i(x) t^i / i!, as a BiJet, one combine_trunc per coordinate."""
     vs = field.flow_coeffs(order, k)
-    n = field.n
+    n, mode = field.n, field.mode
     embed = list(range(n))  # x_i keeps its slot; t is variable n
-    coords = [MultiPoly.variable(n + 1, i, field.mode) for i in range(n)]
-    for i, v in enumerate(vs, start=1):
-        t_power = tuple([0] * n + [i])
-        factor = MultiPoly(n + 1, {t_power: _inv_factorial(i, field.mode)}, field.mode)
-        for j in range(n):
-            lifted = v.coords[j].rename_vars(embed, n + 1)
-            coords[j] = coords[j] + lifted * factor
+    t_pows = [MultiPoly(n + 1, {(0,) * n + (i,): 1}, mode) for i in range(order + 1)]
+    coords = []
+    for j in range(n):
+        terms = [(1, MultiPoly.variable(n + 1, j, mode))]
+        terms += [(_inv_factorial(i, mode), v.coords[j].rename_vars(embed, n + 1), t_pows[i])
+                  for i, v in enumerate(vs, start=1)]
+        coords.append(combine_trunc(n + 1, mode, terms, k + order))
     return BiJet(PolyMap(coords), k, order)
 
 

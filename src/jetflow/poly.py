@@ -17,13 +17,13 @@ one integer addition and truncation one comparison.  Exact coefficients
 there are integer numerators over one common denominator, so a Fraction is
 built once per output term.  Float sums keep every nonzero sum, in the
 orders documented at combine_trunc and LieDerivative.  Queries, sums,
-scalings and degree slices read the packed form, which holds every term and
-is set once (see _pack; its key width depends on degree alone, see _width);
-``.terms`` is the tuple-keyed view, built on first access.  Exact division,
-by one polynomial (divide_exact) or coordinatewise by a vector
-(common_quotient), reduces by a single divisor in graded-lex order (Cox,
-Little and O'Shea, "Ideals, Varieties, and Algorithms", 2.3) on the packed
-keys, with integer numerators.
+differences, scalings, powers, slices, partial, content and to_float read
+only the packed form, in one pass each; it holds every term and is set once
+(see _pack; one key width per degree, see _width).  ``.terms`` is the
+tuple-keyed view, built on first access.  Exact division, by one polynomial
+(divide_exact) or coordinatewise by a vector (common_quotient), reduces by a
+single divisor in graded-lex order (Cox, Little and O'Shea, "Ideals,
+Varieties, and Algorithms", 2.3) on the packed keys, with integer numerators.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -206,24 +206,24 @@ class MultiPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, c=1, d=1):
+        """c * self + d * other, for a polynomial or a scalar other: one combine_trunc."""
         if isinstance(other, (int, Fraction, float)):
             other = MultiPoly.const(self.nvars, other, self.mode)
         _check_pair(self, other)
-        return combine_trunc(self.nvars, self.mode, [(1, self), (1, other)],
+        return combine_trunc(self.nvars, self.mode, [(c, self), (d, other)],
                              max(self.degree(), other.degree()))
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __add__ = __radd__ = _sum
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self.__add__(-other)
+        return self._sum(other, 1, -1)
 
     def __rsub__(self, other):
-        return self.__neg__().__add__(other)
+        return self._sum(other, -1)
 
     def scale(self, c):
         c = _coerce(c, self.mode)
@@ -256,10 +256,7 @@ class MultiPoly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponents must be natural numbers")
-        acc = MultiPoly.const(self.nvars, 1, self.mode)
-        for _ in range(e):
-            acc = acc * self
-        return acc
+        return self.pow_trunc(e, e * max(self.degree(), 0))
 
     # -- jets --------------------------------------------------------------
 
@@ -287,17 +284,16 @@ class MultiPoly:
                             values[start:stop], den)
 
     def partial(self, index):
-        """Exact partial derivative with respect to variable ``index`` (0-based)."""
+        """Exact partial derivative with respect to variable ``index`` (0-based):
+        each packed key whose x_index field e is nonzero loses one key step of
+        x_index, and its value is multiplied by e."""
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range for {self.nvars} variables")
-        out = {}
-        for mono, c in self.terms.items():
-            e = mono[index]
-            if e == 0:
-                continue
-            lowered = tuple(v - 1 if i == index else v for i, v in enumerate(mono))
-            out[lowered] = c * e
-        return MultiPoly(self.nvars, out, self.mode)
+        bits, keys, values, den = _pack(self)
+        at, mask = (self.nvars - 1 - index) * bits, (1 << bits) - 1
+        step = 1 << self.nvars * bits | 1 << at
+        sums = {key - step: v * e for key, v in zip(keys, values) if (e := key >> at & mask)}
+        return _from_sums(self.nvars, self.mode, bits, sums, den)
 
     def rename_vars(self, index_map, new_nvars):
         """Inject into a ring with ``new_nvars`` variables; old var i -> index_map[i]."""
@@ -328,15 +324,24 @@ class MultiPoly:
         return total
 
     def to_float(self):
+        """Each coefficient as numerator / denominator, which rounds correctly,
+        as float(Fraction) does; one that underflows to 0.0 is left out."""
         if self.mode == FLOAT:
             return self
-        return MultiPoly(self.nvars, self.terms, FLOAT)
+        bits, keys, values, den = _pack(self)
+        try:
+            floats = {key: v / den for key, v in zip(keys, values)}
+        except OverflowError:
+            raise ValueError("coefficient too large for float mode") from None
+        return _from_sums(self.nvars, FLOAT, bits, floats, 1)
 
     def content(self):
-        """Positive rational c such that self/c has coprime integer coefficients."""
+        """Positive rational c such that self/c has coprime integer coefficients:
+        gcd(numerators) / denominator, as the packed form is canonical."""
         if self.mode != EXACT:
             raise ValueError("content is defined in exact mode only")
-        return univar.content(self.terms.values())
+        _, _, values, den = _pack(self)
+        return Fraction(math.gcd(*values), den)
 
     # -- display -------------------------------------------------------------
 
@@ -356,7 +361,8 @@ class MultiPoly:
             if self.mode == EXACT:
                 if not factors:
                     body = str(mag)
-                elif mag == 1:
+                # a leading -x^2 would read back as (-x)^2: it prints as -1*x^2
+                elif mag == 1 and (pieces or sign == "+" or next(e for e in mono if e) % 2):
                     body = "*".join(factors)
                 else:
                     body = "*".join([str(mag)] + factors)
@@ -736,11 +742,7 @@ class PolyMap:
 
 
 def _merge_trunc(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return min((t for t in (a, b) if t is not None), default=None)
 
 
 class Substituter:

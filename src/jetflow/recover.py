@@ -346,9 +346,7 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
 
 def verify_residual(field, h, omegas, k, tol=None):
     """True iff j^K(x -> Phi(h(x), -sum omega_l(x))) is the identity jet."""
-    sigma = MultiPoly.zero(field.n, field.mode)
-    for omega in omegas:
-        sigma = sigma + as_poly(omega)
-    mapped = hatted_shift_jet(field, h.truncate(k), -sigma, k)
+    minus_sigma = combine_trunc(field.n, field.mode, [(-1, as_poly(omega)) for omega in omegas], k)
+    mapped = hatted_shift_jet(field, h.truncate(k), minus_sigma, k)
     bound = config.residual_tol(tol) if field.mode == FLOAT else 0
     return mapped.is_identity(k, tol=bound)

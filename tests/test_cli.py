@@ -1,12 +1,16 @@
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jetflow.cli import MAX_FD_ORDER, run
 from jetflow.errors import ParseError
@@ -57,6 +61,31 @@ def test_parse_print_parse_identity():
     for _ in range(25):
         p = rand_poly(rng, 2, 5)
         assert parse_poly(p.to_string(names), names) == p
+
+
+PRINTED_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
+                     Fraction(1, 2), Fraction(-1, 2)]), max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(terms=PRINTED_TERMS)
+@example(terms={(2, 0): -1})
+@example(terms={(2, 1): -1, (0, 1): 1})
+def test_printed_polynomials_read_back(terms):
+    p = MultiPoly(2, terms)
+    assert parse_poly(p.to_string(["x", "y"]), ["x", "y"]) == p
+
+
+def test_only_a_leading_minus_one_before_an_even_power_prints_its_coefficient(xy):
+    x, y = xy
+    assert str(-(x ** 2)) == "-1*x^2"
+    assert str(y - x ** 2 * y) == "-1*x^2*y + y"
+    assert str(x - x ** 3) == "-x^3 + x"
+    assert str(-(x * y ** 2)) == "-x*y^2"
+    assert str(x ** 4 - y ** 2) == "x^4 - y^2"
+    assert str((x ** 2).to_float().scale(-1)) == "-1.0*x^2"
 
 
 def test_json_roundtrip_polys():
@@ -300,6 +329,24 @@ def test_cli_borel_fd_order_is_bounded(tmp_path, capsys):
         assert seconds < 2.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fd-order", "3", "--fd-step", "1e-200"],  # h^3 underflows to 0
+    ["--eval", "nan,0"],
+    ["--eval", "inf,0"],
+    ["--fd-order", "2", "--fd-step", "nan"],
+])
+def test_cli_borel_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
+    from jetflow.serialize import jets_to_json
+
+    path = tmp_path / "jets.json"
+    path.write_text(json.dumps(jets_to_json([MultiPoly.const(2, 1)], 2)))
+    code = run(["borel", "--jets", str(path), *argv, "--json"])
+    out = capsys.readouterr().out
+    doc = json.loads(out)  # strict JSON: NaN and Infinity are refused below
+    assert "NaN" not in out and "Infinity" not in out
+    assert code == 1 and doc["error"]["kind"] == "Usage"
+
+
 def test_cli_borel_jets_missing_keys(tmp_path, capsys):
     for doc in ({"nvars": 1}, {"omegas": []}, [1, 2]):
         path = tmp_path / "jets.json"
@@ -467,3 +514,26 @@ def test_cli_values_that_start_with_a_minus(tmp_path, capsys):
     # an option of the subcommand in place of a value stays an option
     assert run(["shift-jet", "-F", "x", "-K", "3", "-a", "--json"]) == 1
     assert "argument -a: expected one argument" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every `jetflow ...` line of README's CLI block exits 0, with the output
+    its comment names where the comment is a result."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = re.findall(r"^jetflow (.*)$", readme, flags=re.M)
+    jets = re.search(r"```json\n(\{\"nvars\".*?)```", readme, flags=re.S).group(1)
+    (tmp_path / "jets.json").write_text(jets)
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in lines:
+        if "<map>" in line:
+            continue  # a placeholder for a map jet
+        code = run(shlex.split(line, comments=True))
+        out = capsys.readouterr().out
+        assert code == 0, line
+        ran += 1
+        if line.startswith("classify-exp"):
+            assert "tag = Circle" in out.splitlines()
+        if line.startswith("profile"):
+            assert {"l = 2", "q = 1"} <= set(out.splitlines())
+    assert ran == len(lines) - 1 >= 11

@@ -93,6 +93,31 @@ def test_pow_trunc_matches_sympy(nvars, data, e, k):
 
 
 @ORACLE
+@given(nvars=st.integers(1, 3), data=st.data(), e=st.integers(0, 4))
+def test_pow_matches_sympy(nvars, data, e):
+    p = data.draw(polys(nvars, max_deg=3, max_terms=5))
+    assert (p ** e).terms == from_sympy(to_sympy(p) ** e, nvars)
+
+
+@ORACLE
+@given(nvars=st.integers(1, 3), data=st.data(), lift=st.sampled_from([0, 30]))
+def test_partial_content_and_to_float_match_sympy(nvars, data, lift):
+    """On kernel-born inputs, lifted by x^lift so that degrees pass 32 (7-bit keys)."""
+    p = data.draw(polys(nvars, max_deg=5, max_terms=6)) * MultiPoly(nvars, {(lift,) * nvars: 1})
+    partials, content, floats = [p.partial(j) for j in range(nvars)], p.content(), p.to_float()
+    assert p._terms is None or p.is_zero()  # a zero kernel result is born empty
+    for j, got in enumerate(partials):
+        assert got.terms == from_sympy(to_sympy(p).diff(gens(nvars)[j]), nvars)
+    coeffs = list(p.terms.values())
+    nums, dens = [c.numerator for c in coeffs], [c.denominator for c in coeffs]
+    assert content == Fraction(math.gcd(*nums), math.lcm(*dens))
+    if not p.is_zero():
+        assert sympy.Rational(content.numerator, content.denominator) == to_sympy(p).primitive()[0]
+    assert {m: repr(c) for m, c in floats.terms.items()} == {
+        m: repr(float(c)) for m, c in p.terms.items()}
+
+
+@ORACLE
 @given(n=st.integers(1, 3), m=st.integers(1, 3), data=st.data(), k=st.integers(0, 6))
 def test_compose_matches_sympy(n, m, data, k):
     outer = PolyMap([data.draw(polys(m, max_deg=3, max_terms=5)) for _ in range(m)])

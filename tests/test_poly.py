@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from jetflow import VectorFieldJet, poly, recover_shift_jet, shift_jet
+from jetflow import VectorFieldJet, poly, recover_shift_jet, shift_jet, verify_residual
 from jetflow.errors import NotDivisibleError
 from jetflow.poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap,
                           bivariate_homog_gcd, common_quotient, compose, divide_exact)
 
-from conftest import rand_poly
+from conftest import rand_field, rand_poly
 
 
 def V(i, n=2):
@@ -336,3 +336,113 @@ def test_an_operand_keeps_its_packed_form_through_a_wider_product(xy):
 def test_a_round_trip_across_the_width_edge_recovers_alpha(quartic_field):
     # at K = 33 the kernels pack at 7 bits; the field and alpha are packed at 6
     assert _recovers(quartic_field, QUARTIC_ALPHA, 33)
+
+
+def _count_calls(monkeypatch, name):
+    """A list that grows by one for every call of poly.<name>."""
+    calls, real = [], getattr(poly, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(poly, name, counting)
+    return calls
+
+
+def _bits(p):
+    """p's terms with each coefficient's repr, so that floats compare bitwise."""
+    return {m: repr(c) for m, c in p.terms.items()}
+
+
+def test_a_difference_is_one_kernel_call(monkeypatch, xy):
+    x, y = xy
+    a, b = (x * y).scale(Fraction(1, 3)) + x, y * y - x.scale(2)
+    want_ab, want_ca = a + b.scale(-1), a.scale(-1) + 3
+    calls = _count_calls(monkeypatch, "combine_trunc")
+    assert a - b == want_ab and len(calls) == 1
+    assert 3 - a == want_ca and len(calls) == 2
+
+
+def test_a_float_difference_is_the_sum_with_the_negation():
+    rng = random.Random(5)
+    for _ in range(20):
+        a, b = (rand_poly(rng, 2, 4, mode=FLOAT).scale(rng.uniform(-3, 3)) for _ in range(2))
+        assert _bits(a - b) == _bits(a + b.scale(-1))
+        assert _bits(1.25 - a) == _bits(a.scale(-1) + 1.25)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_a_power_is_repeated_products(monkeypatch, mode):
+    x, y = MultiPoly.variable(2, 0, mode), MultiPoly.variable(2, 1, mode)
+    one = MultiPoly.const(2, 1, mode)
+    # x*y + x/3 - 2 to the 17th has degree 34, past the 6-bit keys' degree 31
+    for p in (x * y + x.scale(Fraction(1, 3)) - 2, y.scale(Fraction(-3, 2)) + 1,
+              MultiPoly.zero(2, mode), one):
+        for e in (0, 1, 2, 5, 17):
+            want = one
+            for _ in range(e):
+                want = want * p
+            calls = _count_calls(monkeypatch, "combine_trunc")
+            assert _bits(p ** e) == _bits(want)
+            assert len(calls) == e
+            monkeypatch.undo()
+    assert ((x * y + 1) ** 17).degree() == 34
+
+
+def test_partial_content_and_to_float_read_only_the_packed_form():
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    # kernel-born, with mixed denominators and exponents past 32 (7-bit keys)
+    p = (x ** 33 * y).scale(Fraction(4, 3)) + (x * y ** 2).scale(Fraction(6, 5)) - 2
+    assert p._terms is None
+    dx, dy, c, f = p.partial(0), p.partial(1), p.content(), p.to_float()
+    assert p._terms is None
+    assert dx.terms == {(32, 1): 44, (0, 2): Fraction(6, 5)}
+    assert dy.terms == {(33, 0): Fraction(4, 3), (1, 1): Fraction(12, 5)}
+    assert c == Fraction(2, 15)
+    assert _bits(f) == {(33, 1): repr(4 / 3), (1, 2): repr(1.2), (0, 0): repr(-2.0)}
+
+
+def test_float_partial_multiplies_by_the_exponent():
+    p = MultiPoly(2, {(3, 1): 0.1, (1, 0): 2.5, (0, 2): 1e-300}, FLOAT).scale(1.0)
+    assert _bits(p.partial(0)) == {(2, 1): repr(0.1 * 3), (0, 0): repr(2.5)}
+    assert _bits(p.partial(1)) == {(3, 0): repr(0.1), (0, 1): repr(1e-300 * 2)}
+    assert p._terms is None
+
+
+def test_to_float_drops_an_underflow_and_refuses_an_overflow():
+    x = MultiPoly.variable(1, 0)
+    tiny = (x + x ** 40).scale(Fraction(1, 10 ** 400)) + x.scale(Fraction(3, 7))
+    assert _bits(tiny.to_float()) == {(1,): repr(3 / 7)}
+    with pytest.raises(ValueError, match="too large for float mode"):
+        x.scale(Fraction(10 ** 400, 3)).to_float()
+
+
+def _count_views(monkeypatch):
+    """A list that grows by one for every .terms view built."""
+    built, real = [], MultiPoly.terms
+
+    def counting(p):
+        if p._terms is None:
+            built.append(p)
+        return real.fget(p)
+
+    monkeypatch.setattr(MultiPoly, "terms", property(counting))
+    return built
+
+
+def test_exact_round_trips_build_no_terms_view(monkeypatch, quartic_field):
+    rng = random.Random(8)
+    field, alpha = rand_field(rng, 3, 2), rand_poly(rng, 3, 2)
+    built = _count_views(monkeypatch)
+    for f, a, k in ((quartic_field, QUARTIC_ALPHA, 18), (field, alpha, 8)):
+        h = shift_jet(f, a, k)
+        result = recover_shift_jet(f, h, k)
+        assert result.residual_ok and built == []
+        # verify_residual substitutes into h, and Substituter reads .terms: the
+        # views it builds are of its operands (h and the cached flow
+        # coefficients), so the same check again builds none
+        assert verify_residual(f, h, result.omegas, k)
+        built.clear()
+        assert verify_residual(f, h, result.omegas, k)
+        assert built == []
