@@ -11,6 +11,7 @@ back off the evaluator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,8 +119,10 @@ def finite_diff_jet(evaluator, k, h, nvars=None):
     evaluator (pass nvars) or a BorelRealization, in which case the stencil
     is checked against the plateau radius.  Returns a dict mapping exponent
     tuples to coefficients, for all |beta| <= k.  Raises ValueError for a
-    step that is not finite and positive or whose k-th power underflows to
-    0, and for a coefficient that comes out non-finite.
+    step that is not finite and positive or whose k-th power is not a normal
+    float (it overflows, or underflows into the subnormal range, where the
+    stencil's rounding error divided by h^k swamps the coefficients), and for
+    a coefficient that comes out non-finite.
 
     n = 1 and n = 2 only.
     """
@@ -139,8 +142,12 @@ def finite_diff_jet(evaluator, k, h, nvars=None):
         raise ValueError(
             f"stencil of radius {reach:.3g} exits the bump plateau {plateau:.3g}; "
             "shrink the step")
-    if h ** k == 0:
-        raise ValueError(f"step {h!r} to the power {k} underflows to 0")
+    try:
+        normal = h ** k >= sys.float_info.min
+    except OverflowError:
+        normal = False
+    if not normal:
+        raise ValueError(f"step {h!r} to the power {k} is not a normal float")
 
     weights = _stencil_weights(k)
     points = list(range(-k, k + 1))

@@ -263,7 +263,9 @@ def _cmd_borel(args):
         k = args.fd_order
         if not 0 <= k <= MAX_FD_ORDER:
             raise UsageError(f"--fd-order must lie in 0..{MAX_FD_ORDER}, got {k}")
-        h = args.fd_step if args.fd_step else realization.plateau_radius() / (2 * max(k, 1))
+        h = args.fd_step
+        if h is None:
+            h = realization.plateau_radius() / (2 * max(k, 1))
         coeffs = borel_mod.finite_diff_jet(realization, k, h)
         printable = {",".join(map(str, m)): c for m, c in sorted(coeffs.items())}
         result["fd_step"] = h

@@ -112,10 +112,7 @@ def check_star(vf):
         # P = c x^p with p >= 1, so x^p is a common factor.
         witness = MultiPoly(1, {(vf.p,): 1}, EXACT)
         return StarReport(vf.p, p_vec, "no", HomogPoly(witness, vf.p))
-    nonzero = [q for q in p_vec if not q.is_zero()]
-    gcd = bivariate_homog_gcd(nonzero[0], nonzero[0])
-    for q in nonzero[1:]:
-        gcd = bivariate_homog_gcd(gcd, q)
+    gcd = bivariate_homog_gcd(*p_vec)
     if gcd.degree == 0:
         return StarReport(vf.p, p_vec, "yes")
     return StarReport(vf.p, p_vec, "no", gcd)
@@ -262,9 +259,9 @@ def binary_form_profile(g):
         raise ValueError("g must be nonzero")
     if not poly.is_homogeneous():
         raise ValueError("g must be homogeneous")
-    x_mult = min(m[0] for m in poly.terms)
     # Dehomogenize at x = 1; the x factor escapes to infinity.
     u = dehomogenize(poly, 1)
+    x_mult = poly.degree() - univar.degree(u)
 
     # The Yun factors are pairwise coprime and multiply to the squarefree
     # part of u, so the distinct-root counts add up over them.

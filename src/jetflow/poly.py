@@ -883,29 +883,6 @@ def dehomogenize(p, keep):
     return univar.normalize(coeffs)
 
 
-def _strip_common_monomial(f, g):
-    """Largest monomial dividing both nonzero f and g; returns (mono, f/mono, g/mono)."""
-    n = f.nvars
-    mono = tuple(min(m[i] for m in (*f.terms, *g.terms)) for i in range(n))
-    if all(e == 0 for e in mono):
-        return mono, f, g
-    shift = lambda p: MultiPoly(n, {tuple(a - b for a, b in zip(m, mono)): c
-                                    for m, c in p.terms.items()}, p.mode)
-    return mono, shift(f), shift(g)
-
-
-def _gcd_normalize(p):
-    """Scale to integer content 1 with positive lexicographically-leading coefficient."""
-    if p.is_zero():
-        return p
-    c = p.content()
-    p = p.scale(1 / c)
-    lead = max(p.terms)  # plain lexicographic order on exponent tuples
-    if p.terms[lead] < 0:
-        p = p.scale(-1)
-    return p
-
-
 def _as_homog_poly(p):
     p = as_poly(p)
     if not p.is_homogeneous():
@@ -914,12 +891,14 @@ def _as_homog_poly(p):
 
 
 def bivariate_homog_gcd(f, g):
-    """GCD of two homogeneous polynomials in two variables.
+    """GCD of two homogeneous polynomials in two variables, not both zero.
 
-    Strips common monomial factors, dehomogenizes to one variable, runs the
-    Euclidean algorithm over the rationals, and rehomogenizes.  The result is
-    normalized to integer content 1 with a positive lexicographically-leading
-    coefficient.
+    Setting y = 1 in a nonzero form q keeps every factor of q except its
+    power of y, which is deg q - deg q(x, 1).  So the GCD is y to the least
+    of those powers times the rehomogenized Euclidean GCD, over the
+    rationals, of the operands at y = 1; a zero operand is 0 at y = 1 and
+    leaves the other operand's factors.  The result is normalized to integer
+    content 1 with a positive lexicographically-leading coefficient.
     """
     pf = _as_homog_poly(f)
     pg = _as_homog_poly(g)
@@ -930,12 +909,10 @@ def bivariate_homog_gcd(f, g):
         raise ValueError("GCD is computed in exact mode only")
     if pf.is_zero() and pg.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    if pf.is_zero() or pg.is_zero():
-        p = _gcd_normalize(pg if pf.is_zero() else pf)
-        return HomogPoly(p, max(p.degree(), 0))
-    mono, pf, pg = _strip_common_monomial(pf, pg)
-    h = univar.gcd(dehomogenize(pf, 0), dehomogenize(pg, 0))
+    at_y1 = [dehomogenize(pf, 0), dehomogenize(pg, 0)]
+    y_power = min(p.degree() - univar.degree(u) for p, u in zip((pf, pg), at_y1) if u)
+    h = univar.gcd(*at_y1)  # monic: the lexicographically-leading coefficient is 1
     d = univar.degree(h)
-    terms = {(i + mono[0], d - i + mono[1]): c for i, c in enumerate(h)}
-    out = _gcd_normalize(MultiPoly(2, terms, EXACT))
-    return HomogPoly(out, max(out.degree(), 0))
+    out = MultiPoly(2, {(i, d - i + y_power): c for i, c in enumerate(h)}, EXACT)
+    out = out.scale(1 / out.content())
+    return HomogPoly(out, out.degree())

@@ -4,8 +4,9 @@ A polynomial is a list of Fraction coefficients, index = power, with no
 trailing zeros (the zero polynomial is the empty list).  These helpers back
 the bivariate homogeneous GCD (via dehomogenization), Sturm-sequence real
 root counting and rational roots, and Yun's squarefree decomposition.
-``content`` is the one rational content (gcd of numerators over lcm of
-denominators) for polynomials of any number of variables.
+``content`` is the rational content (gcd of numerators over lcm of
+denominators) of a list of coefficients; ``MultiPoly.content`` reads the
+same value off a polynomial's packed form.
 """
 
 from __future__ import annotations
@@ -48,20 +49,16 @@ def divmod_exact(p, d):
     """Quotient and remainder of p by d over the rationals."""
     if not d:
         raise ZeroDivisionError("univariate division by zero polynomial")
-    r = list(p)
-    q = [Fraction(0)] * max(len(p) - len(d) + 1, 0)
-    lead = d[-1]
-    while len(r) >= len(d) and normalize(r):
-        r = normalize(r)
-        if len(r) < len(d):
-            break
+    r = normalize(p)
+    q = [Fraction(0)] * max(len(r) - len(d) + 1, 0)
+    while len(r) >= len(d):
         shift = len(r) - len(d)
-        factor = r[-1] / lead
+        factor = r[-1] / d[-1]
         q[shift] = factor
         for i, c in enumerate(d):
             r[shift + i] -= factor * c
-        r = r[:-1]
-    return normalize(q), normalize(r)
+        r = normalize(r)  # the leading term cancels exactly
+    return q, r
 
 
 def monic(p):

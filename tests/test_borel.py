@@ -83,6 +83,12 @@ def test_stencil_leaves_plateau():
         finite_diff_jet(real, 2, real.radii[-1])
 
 
+@pytest.mark.parametrize("h", [1e200, 1e-105])  # h^3 overflows; h^3 is subnormal
+def test_step_whose_power_is_not_a_normal_float_is_refused(h):
+    with pytest.raises(ValueError, match="not a normal float"):
+        finite_diff_jet(lambda pt: 1.0, 3, h, nvars=1)
+
+
 def test_prescribed_jet_property_1d():
     rng = random.Random(3)
     for _ in range(5):

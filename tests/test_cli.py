@@ -347,6 +347,23 @@ def test_cli_borel_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
     assert code == 1 and doc["error"]["kind"] == "Usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fd-step", "0"],  # an explicit zero step is not replaced by the default
+    ["--fd-step=-0.0"],
+    ["--fd-step", "1e-105"],  # h^3 is subnormal: rounding error / h^3 reads 1e88-1e298
+])
+def test_cli_borel_step_out_of_range_is_a_usage_error(tmp_path, capsys, argv):
+    from jetflow.serialize import jets_to_json
+
+    path = tmp_path / "jets.json"
+    u = MultiPoly.variable(1, 0)
+    path.write_text(json.dumps(jets_to_json([MultiPoly.const(1, 1), u], 1)))
+    code = run(["borel", "--jets", str(path), "--fd-order", "3", *argv, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and doc["error"]["kind"] == "Usage"
+    assert "step" in doc["error"]["detail"]
+
+
 def test_cli_borel_jets_missing_keys(tmp_path, capsys):
     for doc in ({"nvars": 1}, {"omegas": []}, [1, 2]):
         path = tmp_path / "jets.json"

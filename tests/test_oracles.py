@@ -22,6 +22,7 @@ from jetflow import (VectorFieldJet, flow_time_jet, hatted_shift_jet, recover_sh
                      shift_jet)
 from jetflow.config import DELTA0_TOL
 from jetflow.errors import InconsistentJetError, NotDivisibleError
+from jetflow.fields import binary_form_profile, check_star, reduced_hamiltonian
 from jetflow.linalg import RatMatrix, minimal_polynomial
 from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, bivariate_homog_gcd,
                           combine_trunc, common_quotient, compose, divide_exact,
@@ -480,9 +481,9 @@ def binary_form_pairs(draw):
 
 
 def sympy_normalized_gcd(f, g):
-    """sympy.gcd of f and g scaled to integer content 1 with a positive
-    coefficient on the lexicographically largest monomial."""
-    _, q = sympy.gcd(to_sympy(f), to_sympy(g)).clear_denoms(convert=True)
+    """sympy.gcd of sympy Polys f and g scaled to integer content 1 with a
+    positive coefficient on the lexicographically largest monomial."""
+    _, q = sympy.gcd(f, g).clear_denoms(convert=True)
     q = q.primitive()[1]
     return -q if q.LC() < 0 else q
 
@@ -491,16 +492,130 @@ def sympy_normalized_gcd(f, g):
 @given(pair=binary_form_pairs())
 @example(pair=(X0 ** 3 * X1, X0 ** 2 * X1 ** 2))
 @example(pair=(MultiPoly.zero(2), X0 * X1.scale(Fraction(-2, 3))))
+@example(pair=(X1 ** 3 * (X0 + X1).scale(-2), MultiPoly.zero(2)))
 def test_bivariate_homog_gcd_matches_sympy(pair):
     f, g = pair
     if f.is_zero() and g.is_zero():
         with pytest.raises(ValueError):
             bivariate_homog_gcd(f, g)
         return
-    expected = sympy_normalized_gcd(f, g)
+    expected = sympy_normalized_gcd(to_sympy(f), to_sympy(g))
     got = bivariate_homog_gcd(f, g)
     assert got.poly.terms == from_sympy(expected, 2)
     assert got.degree == expected.total_degree()
+
+
+@st.composite
+def monomial_multiples(draw, max_deg=3):
+    """c q x^a y^b: a nonzero binary form c q of degree 0..max_deg times a
+    monomial with a, b <= 3."""
+    q = draw(homogs(2, draw(st.integers(0, max_deg)), nonzero=True))
+    return q * MultiPoly(2, {(draw(st.integers(0, 3)), draw(st.integers(0, 3))): 1})
+
+
+@st.composite
+def repeated_factor_forms(draw):
+    """c q x^a y^b times the m-th power of a nonzero form r, m in 1..2."""
+    r = draw(homogs(2, draw(st.integers(0, 2)), nonzero=True))
+    return draw(monomial_multiples(max_deg=2)) * r ** draw(st.integers(1, 2))
+
+
+def sympy_profile(g):
+    """(l, q, multiplicities) from sympy's factorization of g over QQ: an
+    irreducible factor f of multiplicity k has as many real linear factors as
+    f(x, 1) has real roots, plus one for y when y divides f, and pairs its
+    other roots into definite quadratics."""
+    l, q, mult = 0, 0, {}
+    for f, k in to_sympy(g).factor_list()[1]:
+        at_y1 = f.eval(f.gens[1], 1)
+        lin = at_y1.count_roots() + f.total_degree() - at_y1.degree()
+        quad = (f.total_degree() - lin) // 2
+        l, q = l + lin, q + quad
+        old_lin, old_quad = mult.get(k, (0, 0))
+        mult[k] = (old_lin + lin, old_quad + quad)
+    return l, q, mult
+
+
+SUM_OF_SQUARES = X0 * X0 + X1 * X1
+
+
+@ORACLE
+@given(g=repeated_factor_forms())
+@example(g=X0 ** 3 * X1 ** 4)
+@example(g=X0 * X1 ** 3 * SUM_OF_SQUARES ** 2)
+@example(g=(X0 - X1) ** 2 * (X0 * X0 + (X1 * X1).scale(Fraction(2, 3))))
+def test_binary_form_profile_matches_sympy(g):
+    prof = binary_form_profile(g)
+    assert (prof.l, prof.q, prof.multiplicities) == sympy_profile(g)
+
+
+@ORACLE
+@given(g=monomial_multiples())
+@example(g=X0 ** 3 * X1 ** 4)
+@example(g=X1 ** 2 * SUM_OF_SQUARES)
+def test_reduced_hamiltonian_matches_sympy(g):
+    assume(g.degree() >= 1)
+    d, field = reduced_hamiltonian(g)
+    sg = to_sympy(g)
+    gx, gy = sg.diff(sg.gens[0]), sg.diff(sg.gens[1])
+    expected = sympy_normalized_gcd(gx, gy)
+    assert d.poly.terms == from_sympy(expected, 2)
+    assert d.degree == expected.total_degree()
+    # F is (-g_y / D, g_x / D) divided by the content of the pair, the gcd of
+    # its numerators over the lcm of its denominators
+    want = []
+    for num in (-gy, gx):
+        quo, rem = sympy.div(num, expected)
+        assert rem.is_zero
+        want.append(from_sympy(quo, 2))
+    values = [c for w in want for c in w.values()]
+    content = Fraction(math.gcd(*(c.numerator for c in values)),
+                       math.lcm(*(c.denominator for c in values)))
+    assert [c.terms for c in field.coords] == [{m: c / content for m, c in w.items()}
+                                               for w in want]
+
+
+@st.composite
+def planar_fields(draw):
+    """(F_0, F_1) = (c r_j + t_j) in either order: c = 1 or c q x^a y^b, forms
+    r_0 != 0 and r_1 (nonzero, or zero) of one degree, and tails t_j one
+    degree higher."""
+    common = draw(st.one_of(st.just(MultiPoly.const(2, 1)), monomial_multiples(max_deg=2)))
+    d = draw(st.integers(0, 2))
+    r_1 = st.one_of(homogs(2, d, nonzero=True), st.just(MultiPoly.zero(2)))
+    heads = [common * draw(homogs(2, d, nonzero=True)), common * draw(r_1)]
+    if draw(st.booleans()):
+        heads.reverse()
+    return tuple(h + draw(homogs(2, common.degree() + d + 1)) for h in heads)
+
+
+def sympy_initial_part(coords):
+    """(p, P): the least degree p carrying a term of the field, and its
+    degree-p slice."""
+    polys = [to_sympy(c) for c in coords]
+    p = min(sum(m) for f in polys for m in f.monoms() if not f.is_zero)
+    return p, [sympy.Poly.from_dict({m: c for m, c in f.as_dict().items() if sum(m) == p},
+                                    f.gens, domain=sympy.QQ) for f in polys]
+
+
+@ORACLE
+@given(coords=planar_fields())
+@example(coords=(X0 ** 4, X0 ** 2 * X1))  # check-star -F "x^4, x^2*y": P = (0, x^2 y)
+@example(coords=(X0 ** 2 * X1 - X1 ** 3, X0 * X1 ** 2))
+@example(coords=((X0 * X0 * X1).scale(-3) + (X1 ** 3).scale(-4),
+                 (X0 ** 3).scale(2) + (X0 * X1 * X1).scale(3)))  # the quartic field
+def test_check_star_matches_sympy(coords):
+    assume(min(c.min_degree() for c in coords) >= 1)
+    p, p_vec = sympy_initial_part(coords)
+    report = check_star(VectorFieldJet(PolyMap(list(coords))))
+    expected = sympy_normalized_gcd(*p_vec)
+    assert report.p == p
+    if expected.total_degree() == 0:
+        assert report.nondivisible == "yes" and report.witness is None
+    else:
+        assert report.nondivisible == "no"
+        assert report.witness.poly.terms == from_sympy(expected, 2)
+        assert report.witness.degree == expected.total_degree()
 
 
 @st.composite
