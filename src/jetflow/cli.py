@@ -9,6 +9,7 @@ NotOnSubgroup, NoSuchFactor).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -16,9 +17,6 @@ import shlex
 import sys
 from fractions import Fraction
 
-from . import borel as borel_mod
-from . import fields as fields_mod
-from . import recover as recover_mod
 from .errors import JetflowError, ParseError
 from .jet import VectorFieldJet, flow_taylor_coeffs, hatted_shift_jet, shift_jet
 from .linalg import RatMatrix
@@ -28,6 +26,11 @@ from .serialize import (jets_from_json, matrix_to_json, poly_from_json,
                         poly_to_json, polymap_from_json, polymap_to_json)
 
 
+# flow-jet -N n prints n coefficient maps, about 1 KB each even when zero:
+# n = 200 for x' = y + x^2, y' = -x + y^2 at K = 8 takes about 0.4 s and
+# prints 1.9 MB of JSON on a 2-core Xeon, n = 1000 about 2 s and 34 MB.
+MAX_FLOW_ORDER = 200
+
 # borel --fd-order k inverts an exact (2k+1)-point Vandermonde matrix and
 # samples (2k+1)^n points: k = 20 with two variables takes about 0.7 s on a
 # 2-core Xeon, k = 60 about 14 s.
@@ -36,6 +39,13 @@ MAX_FD_ORDER = 20
 
 class UsageError(Exception):
     pass
+
+
+def __getattr__(name):
+    # The pipelines load on first use; these names keep them reachable here.
+    if name in ("borel_mod", "fields_mod", "recover_mod"):
+        return importlib.import_module(f".{name[:-4]}", __package__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,6 +131,8 @@ def _mode(args):
 
 
 def _cmd_flow_jet(args):
+    if args.order_n > MAX_FLOW_ORDER:
+        raise UsageError(f"-N must be at most {MAX_FLOW_ORDER}, got {args.order_n}")
     field, names = _parse_field(args, _mode(args))
     flow = flow_taylor_coeffs(field, args.order_n, args.order_k)
     result = {"p": field.p, "v": [polymap_to_json(v) for v in flow.coeffs]}
@@ -148,6 +160,7 @@ def _cmd_hatted_shift(args):
 
 
 def _cmd_recover(args):
+    from . import recover as recover_mod
     mode = _mode(args)
     field, names = _parse_field(args, mode)
     hmap, _ = _parse_map(args.map, mode, args.vars, expect_n=field.n)
@@ -165,6 +178,7 @@ def _cmd_recover(args):
 
 
 def _cmd_check_star(args):
+    from . import fields as fields_mod
     field, names = _parse_field(args, EXACT)
     report = fields_mod.check_star(field)
     result = {
@@ -182,6 +196,7 @@ def _cmd_check_star(args):
 
 
 def _cmd_reduce_ham(args):
+    from . import fields as fields_mod
     names = _var_names(2, args.vars)
     g = parse_poly(args.g, names)
     d, f = fields_mod.reduced_hamiltonian(g)
@@ -191,12 +206,14 @@ def _cmd_reduce_ham(args):
 
 
 def _cmd_cross(args):
+    from . import fields as fields_mod
     funcs, names = _parse_funcs(args.funcs, args.vars)
     h = fields_mod.cross_product_field(funcs)
     return {"H": polymap_to_json(h)}, [f"H = ({h.to_string(names)})"]
 
 
 def _cmd_integral_rep(args):
+    from . import fields as fields_mod
     field, names = _parse_field(args, EXACT)
     parts = [p.strip() for p in args.funcs.split(";") if p.strip()]
     if len(parts) != field.n - 1:
@@ -211,6 +228,7 @@ def _cmd_integral_rep(args):
 
 
 def _cmd_stab(args):
+    from . import fields as fields_mod
     funcs, names = _parse_funcs(args.funcs, args.vars)
     basis = fields_mod.stabilizer_tangent(funcs)
     result = {"dimension": len(basis), "basis": [matrix_to_json(m) for m in basis]}
@@ -222,6 +240,7 @@ def _cmd_stab(args):
 
 
 def _cmd_classify_exp(args):
+    from . import fields as fields_mod
     mat = _parse_matrix(args.matrix)
     cls = fields_mod.classify_exp_subgroup(mat)
     evidence = {k: ([str(v) for v in val] if isinstance(val, list) else
@@ -235,6 +254,7 @@ def _cmd_classify_exp(args):
 
 
 def _cmd_profile(args):
+    from . import fields as fields_mod
     names = _var_names(2, args.vars)
     g = parse_poly(args.g, names)
     prof = fields_mod.binary_form_profile(g)
@@ -247,6 +267,7 @@ def _cmd_profile(args):
 
 
 def _cmd_borel(args):
+    from . import borel as borel_mod
     with open(args.jets, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     omegas = jets_from_json(data)

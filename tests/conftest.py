@@ -1,10 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from jetflow import VectorFieldJet, reduced_hamiltonian
 from jetflow.poly import EXACT, MultiPoly, PolyMap, monomials_of_degree
+
+
+def fresh_python(script):
+    """Standard output of `script` run by a new interpreter that imports
+    jetflow from this checkout's src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60, check=True).stdout
 
 
 def rand_fraction(rng, lo=-5, hi=5):

@@ -12,14 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jetflow.cli import MAX_FD_ORDER, run
+from jetflow.cli import MAX_FD_ORDER, MAX_FLOW_ORDER, run
 from jetflow.errors import ParseError
 from jetflow.parsing import MAX_EXPONENT, MAX_NESTING, parse_poly
 from jetflow.poly import EXACT, FLOAT, MultiPoly, PolyMap
 from jetflow.serialize import (poly_from_json, poly_to_json, polymap_from_json,
                                polymap_to_json)
 
-from conftest import rand_poly
+from conftest import fresh_python, rand_poly
 
 
 def test_parse_examples():
@@ -204,6 +204,27 @@ def test_cli_float_shift_jet_imports_neither_numpy_nor_scipy():
     assert out.splitlines()[-1] == "0 []"
 
 
+_SHIFT_JET_NEVER_LOADS = ("jetflow.recover", "jetflow.fields", "jetflow.borel",
+                          "dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["shift-jet", "-F", "x^2", "-a", "x", "-K", "5"], _SHIFT_JET_NEVER_LOADS),
+    (["shift-jet", "-F", "-x+y^2, -2*y", "-a", "1/2", "-K", "3", "--float"], _SHIFT_JET_NEVER_LOADS),
+    (["stab", "-f", "x^2+y^2"], ("jetflow.recover", "jetflow.borel")),
+    (["profile", "-g", "x*y*(x^2+y^2)"], ("jetflow.recover", "jetflow.borel")),
+    (["recover", "-F", "x^2", "-h", "x+x^3+x^5", "-K", "5"], ("jetflow.fields", "jetflow.borel")),
+], ids=["shift-jet", "shift-jet-float", "stab", "profile", "recover"])
+def test_cli_cold_command_loads_only_its_pipeline(argv, unloaded):
+    # a fresh process imports the core and the one pipeline its subcommand runs
+    script = (
+        "import sys\n"
+        "from jetflow import cli\n"
+        f"code = cli.run({argv + ['--json']!r})\n"
+        f"print(code, sorted(set({unloaded!r}) & set(sys.modules)))\n")
+    assert fresh_python(script).splitlines()[-1] == "0 []"
+
+
 def test_cli_float_overflow_ends_in_envelope(capsys):
     # 10^400 has no float value: a usage error, not an OverflowError traceback
     code = run(["shift-jet", "--float", "-F", "x^2", "-a", "10^400", "-K", "3", "--json"])
@@ -327,6 +348,21 @@ def test_cli_borel_fd_order_is_bounded(tmp_path, capsys):
         code, doc, seconds = _borel_fd(tmp_path, capsys, order)
         assert code == 1 and doc["error"]["kind"] == "Usage"
         assert seconds < 2.0
+
+
+def test_cli_flow_jet_order_is_bounded(monkeypatch, capsys):
+    assert run(["flow-jet", "-F", "x^2", "-N", str(MAX_FLOW_ORDER), "-K", "3", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["v"]) == MAX_FLOW_ORDER
+
+    def no_work(*args):
+        raise AssertionError("the field was parsed before -N was checked")
+
+    monkeypatch.setattr("jetflow.cli._parse_field", no_work)
+    for order in (MAX_FLOW_ORDER + 1, 10 ** 8):
+        code = run(["flow-jet", "-F", "x^2", "-N", str(order), "-K", "3", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["error"]["kind"] == "Usage"
+        assert f"got {order}" in doc["error"]["detail"]
 
 
 @pytest.mark.parametrize("argv", [
