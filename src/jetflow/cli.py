@@ -31,6 +31,12 @@ from .serialize import (jets_from_json, matrix_to_json, poly_from_json,
 # prints 1.9 MB of JSON on a 2-core Xeon, n = 1000 about 2 s and 34 MB.
 MAX_FLOW_ORDER = 200
 
+# flow-jet, shift-jet, hatted-shift and recover -K k: shift-jet on
+# x' = y + x^2, y' = -x + y^2 with alpha = x takes about 0.5 s at k = 80,
+# 1.0 s at k = 100, 2 s at k = 128 and 10.7 s (7.1 MB of JSON) at k = 200 on a
+# 2-core Xeon.
+MAX_ORDER = 100
+
 # borel --fd-order k inverts an exact (2k+1)-point Vandermonde matrix and
 # samples (2k+1)^n points: k = 20 with two variables takes about 0.7 s on a
 # 2-core Xeon, k = 60 about 14 s.
@@ -123,6 +129,11 @@ def _parse_matrix(text):
     return RatMatrix(rows)
 
 
+def _check_order(args):
+    if args.order_k > MAX_ORDER:
+        raise UsageError(f"-K must be at most {MAX_ORDER}, got {args.order_k}")
+
+
 def _mode(args):
     return FLOAT if getattr(args, "float_mode", False) else EXACT
 
@@ -133,6 +144,7 @@ def _mode(args):
 def _cmd_flow_jet(args):
     if args.order_n > MAX_FLOW_ORDER:
         raise UsageError(f"-N must be at most {MAX_FLOW_ORDER}, got {args.order_n}")
+    _check_order(args)
     field, names = _parse_field(args, _mode(args))
     flow = flow_taylor_coeffs(field, args.order_n, args.order_k)
     result = {"p": field.p, "v": [polymap_to_json(v) for v in flow.coeffs]}
@@ -143,6 +155,7 @@ def _cmd_flow_jet(args):
 
 
 def _cmd_shift_jet(args):
+    _check_order(args)
     mode = _mode(args)
     field, names = _parse_field(args, mode)
     alpha = _parse_scalar(args.alpha, names, mode)
@@ -151,6 +164,7 @@ def _cmd_shift_jet(args):
 
 
 def _cmd_hatted_shift(args):
+    _check_order(args)
     mode = _mode(args)
     field, names = _parse_field(args, mode)
     hmap, _ = _parse_map(args.map, mode, args.vars, expect_n=field.n)
@@ -160,6 +174,7 @@ def _cmd_hatted_shift(args):
 
 
 def _cmd_recover(args):
+    _check_order(args)
     from . import recover as recover_mod
     mode = _mode(args)
     field, names = _parse_field(args, mode)

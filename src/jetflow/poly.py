@@ -8,18 +8,20 @@ order K, and represents a K-jet of a map at the origin.
 
 Every product and sum of products is one kernel, combine_trunc, the degree
 lo..k terms of sum c * a * b with b possibly left out; ``*`` and mul_trunc
-are one-term calls of it.  It and the Lie derivative of a vector field
-(LieDerivative, one fused step per flow coefficient) run on packed graded
-keys: each exponent tuple becomes one int with the total degree in its top
-field (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
-and packed exponent vectors", CASC 2007), so that multiplying monomials is
-one integer addition and truncation one comparison.  Exact coefficients
-there are integer numerators over one common denominator, so a Fraction is
-built once per output term.  Float sums keep every nonzero sum, in the
-orders documented at combine_trunc and LieDerivative.  Queries, sums,
-differences, scalings, powers, slices, partial, content and to_float read
-only the packed form, in one pass each; it holds every term and is set once
-(see _pack; one key width per degree, see _width).  ``.terms`` is the
+are one-term calls of it.  The one sum outside it is append_above, a + b for
+degree-disjoint operands (every term of b above a's degree), which
+concatenates the two packed forms.  combine_trunc and the Lie derivative of a
+vector field (LieDerivative, one fused step per flow coefficient) run on
+packed graded keys: each exponent tuple becomes one int with the total
+degree in its top field (Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007), so that
+multiplying monomials is one integer addition and truncation one comparison.
+Exact coefficients there are integer numerators over one common denominator,
+so a Fraction is built once per output term.  Float sums keep every nonzero
+sum, in the orders documented at combine_trunc and LieDerivative.  Queries,
+sums, differences, scalings, powers, slices, partial, content and to_float
+read only the packed form, in one pass each; it holds every term and is set
+once (see _pack; one key width per degree, see _width).  ``.terms`` is the
 tuple-keyed view, built on first access.  Exact division, by one polynomial
 (divide_exact) or coordinatewise by a vector (common_quotient), reduces by a
 single divisor in graded-lex order (Cox, Little and O'Shea, "Ideals,
@@ -455,6 +457,35 @@ def _from_packed(n, mode, bits, keys, values, den):
     result = object.__new__(MultiPoly)
     result.nvars, result.mode, result._terms = n, mode, None
     result._packed = (bits, keys, values, den)
+    return result
+
+
+def append_above(a, b, k):
+    """a + b packed at order k's key width, for operands of degree <= k and
+    every term of b above a's degree: the two packed forms concatenated.
+
+    Exact numerators are rescaled to the lcm L of the two denominators, and
+    that is already in lowest terms: a prime dividing L and every value
+    would divide all of a's or all of b's numerators together with their
+    denominator.  Float values are kept as they are, bitwise what the sum
+    0 + 1 * v gives for a stored (nonzero) v.  Raises ValueError when b has
+    a term at or below a's degree.
+    """
+    _check_pair(a, b)
+    bits = _width(k)
+    _, keys1, values1, den1 = _pack(a, bits)
+    _, keys2, values2, den2 = _pack(b, bits)
+    shift = a.nvars * bits
+    if keys1 and keys2 and keys2[0] >> shift <= keys1[-1] >> shift:
+        raise ValueError("append_above needs every term of b above a's degree")
+    den = math.lcm(den1, den2)
+    if den != den1:
+        values1 = [v * (den // den1) for v in values1]
+    if den != den2:
+        values2 = [v * (den // den2) for v in values2]
+    result = object.__new__(MultiPoly)
+    result.nvars, result.mode, result._terms = a.nvars, a.mode, None
+    result._packed = (bits, keys1 + keys2, values1 + values2, den)
     return result
 
 

@@ -12,17 +12,20 @@ least-squares solution.
 Phi(x, sigma) = x + sum_i v_i sigma^i / i! is evaluated online, in the
 manner of relaxed power series (van der Hoeven, "Relax, but don't be too
 lazy", J. Symbolic Comput. 34, 2002): each degree slice of each power
-sigma^i is computed once, as soon as the omegas it needs are known, and the
-degree-(p+l) slice of h - Phi(x, sigma_{l-1}) is one poly.combine_trunc per
-coordinate over known factors, (1, h - x) and (-1/i!, v_i, sigma^i).  Each
-v_i is read from the field's cached flow series only once a slice needs it.
-omega_l enters that degree only through v_1 sigma = P omega_l + ..., so
-each order costs one degree of product work and a whole recovery about as
-much as one shift jet at order K.  The slice sizes of h - Phi(x, sigma)
-come out on the way (RecoveryResult.residuals); in exact mode a successful
-division has already proved v = P omega_l, so that degree's residual is 0
-without forming P omega_l again, and in float mode v - P omega_l is one
-combine_trunc per coordinate.
+sigma^i is computed once, as soon as the omegas it needs are known, and
+sigma^i grows by appending it (poly.append_above: the slice lies above every
+term the power holds, so nothing is summed again).  The degree-(p+l) slice
+of h - Phi(x, sigma_{l-1}) is one poly.combine_trunc per coordinate over
+known factors, (1, h - x) and (-1/i!, v_i, sigma^i), where h - x is h's own
+slices with x taken from degree 1 only.  Each v_i is read from the field's
+cached flow series only once a slice needs it.  omega_l enters that degree
+only through v_1 sigma = P omega_l + ..., so each order costs one degree of
+product work and a whole recovery about as much as one shift jet at order K.
+The slice sizes of h - Phi(x, sigma) come out on the way
+(RecoveryResult.residuals); in exact mode a successful division has already
+proved v = P omega_l, so that degree's residual is 0 without forming P
+omega_l again, and in float mode v - P omega_l is one combine_trunc per
+coordinate.
 Nothing is composed with h, except once in float mode with p = 1: there h
 is first moved by the flow for time -omega_0, which leaves a shift function
 of order >= 1.
@@ -40,8 +43,8 @@ from . import config
 from .errors import InconsistentJetError, NotDivisibleError, NotOnSubgroupError
 from .jet import _inv_factorial, hatted_shift_jet
 from .linalg import RatMatrix
-from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, as_poly, combine_trunc,
-                   common_quotient, monomials_of_degree)
+from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, append_above, as_poly,
+                   combine_trunc, common_quotient, monomials_of_degree)
 
 
 @dataclasses.dataclass
@@ -284,8 +287,9 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
             hl = hatted_shift_jet(field, hl, -omegas[0].poly, k)
 
     first = len(omegas)
-    # the slices of h - x by degree, 0..K
-    hx = list(zip(*(c.graded_parts(k) for c in (hl - PolyMap.identity(n, mode)).coords)))
+    # the slices of h - x by degree, 0..K: x is only in the degree-1 slice
+    hx = list(zip(*(c.graded_parts(k) for c in hl.coords)))
+    hx[1] = [part - x for part, x in zip(hx[1], PolyMap.identity(n, mode).coords)]
     # residuals[m - 1] is max |h - Phi(x, sigma)| at degree m.  A degree
     # below K above the bound is refused at the order that first sees it.
     residuals = []
@@ -302,8 +306,9 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
     # degree d, and they need sigma^i only through degree d - i(p-1) - 1:
     # omega_l is missing there only for i = 1, where it contributes P omega_l.
     # vs is v_1, v_2, ..., fetched from the field's cached flow series only as
-    # far as some degree reaches.
+    # far as some degree reaches; minus_inv_fact[i] is -1/i!.
     pows, known, order, vs = [None, MultiPoly.zero(n, mode)], [None, None], math.inf, []
+    minus_inv_fact = [-_inv_factorial(i, mode) for i in range(k + 1)]
     for l in range(first, k - p + 1):
         d = p + l
         terms = [[(1, part)] for part in hx[d]]
@@ -315,12 +320,11 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
             while i > 1 and known[i] < d - i * (p - 1) - 1:
                 known[i] += 1
                 step = combine_trunc(n, mode, [(1, pows[i - 1], pows[1])], known[i], known[i], k)
-                pows[i] = combine_trunc(n, mode, [(1, pows[i]), (1, step)], k)
+                pows[i] = append_above(pows[i], step, k)
             if i > len(vs):
                 vs = field.flow_coeffs(i, k)
-            inv_fact = -_inv_factorial(i, mode)
             for coord, v_ij in zip(terms, vs[i - 1].coords):
-                coord.append((inv_fact, v_ij, pows[i]))
+                coord.append((minus_inv_fact[i], v_ij, pows[i]))
             i += 1
         # the degree-d slice of h - Phi(x, sigma), one sum per coordinate
         v = PolyMap([combine_trunc(n, mode, coord, d, d, k) for coord in terms])
@@ -338,7 +342,7 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
             if d < k and not residuals[-1] <= bound:
                 raise _differs(omegas, l + 1, d, rest)
         if not omega.is_zero():
-            pows[1] = combine_trunc(n, mode, [(1, pows[1]), (1, omega)], k)
+            pows[1] = append_above(pows[1], omega, k)
             order = min(order, l)
 
     return RecoveryResult(omegas, all(r <= bound for r in residuals), mode, residuals)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jetflow.cli import MAX_FD_ORDER, MAX_FLOW_ORDER, run
+from jetflow.cli import MAX_FD_ORDER, MAX_FLOW_ORDER, MAX_ORDER, run
 from jetflow.errors import ParseError
 from jetflow.parsing import MAX_EXPONENT, MAX_NESTING, parse_poly
 from jetflow.poly import EXACT, FLOAT, MultiPoly, PolyMap
@@ -363,6 +363,27 @@ def test_cli_flow_jet_order_is_bounded(monkeypatch, capsys):
         doc = json.loads(capsys.readouterr().out)
         assert code == 1 and doc["error"]["kind"] == "Usage"
         assert f"got {order}" in doc["error"]["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow-jet", "-F", "x^2", "-N", "2"],
+    ["shift-jet", "-F", "x^2", "-a", "x"],
+    ["hatted-shift", "-F", "x^2", "-h", "x", "-b", "x"],
+    ["recover", "-F", "x^2", "-h", "x"],
+])
+def test_cli_truncation_order_is_bounded(monkeypatch, capsys, argv):
+    assert run(argv + ["-K", str(MAX_ORDER), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    def no_work(*args):
+        raise AssertionError("the field was parsed before -K was checked")
+
+    monkeypatch.setattr("jetflow.cli._parse_field", no_work)
+    for order in (MAX_ORDER + 1, 10 ** 8):
+        code = run(argv + ["-K", str(order), "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["error"]["kind"] == "Usage"
+        assert f"-K must be at most {MAX_ORDER}, got {order}" == doc["error"]["detail"]
 
 
 @pytest.mark.parametrize("argv", [

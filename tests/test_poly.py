@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from jetflow import VectorFieldJet, poly, recover_shift_jet, shift_jet, verify_residual
+from jetflow import VectorFieldJet, poly, recover, recover_shift_jet, shift_jet, verify_residual
 from jetflow.errors import NotDivisibleError
-from jetflow.poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap,
-                          bivariate_homog_gcd, common_quotient, compose, divide_exact)
+from jetflow.poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, append_above,
+                          bivariate_homog_gcd, combine_trunc, common_quotient, compose,
+                          divide_exact)
 
 from conftest import rand_field, rand_poly
 
@@ -362,6 +363,51 @@ def test_a_difference_is_one_kernel_call(monkeypatch, xy):
     calls = _count_calls(monkeypatch, "combine_trunc")
     assert a - b == want_ab and len(calls) == 1
     assert 3 - a == want_ca and len(calls) == 2
+
+
+def _packed(p):
+    """p's packed form, with each value's repr so that floats compare bitwise."""
+    bits, keys, values, den = poly._pack(p)
+    return bits, keys, [repr(v) for v in values], den
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_an_append_is_the_sum_of_degree_disjoint_operands(mode):
+    x, y = MultiPoly.variable(2, 0, mode), MultiPoly.variable(2, 1, mode)
+    zero = MultiPoly.zero(2, mode)
+    # denominators 6 and 4: neither coprime nor one a multiple of the other
+    a = x.scale(Fraction(1, 6)) + (x * y).scale(Fraction(-5, 6))
+    b = (x ** 3).scale(Fraction(1, 4)) + (y ** 4).scale(Fraction(3, 4))
+    # b from its terms keeps 6-bit keys; a is re-keyed to 7 bits, as sigma is
+    # in a recovery at K = 33
+    b6 = MultiPoly(2, {(3, 0): Fraction(1, 4), (0, 4): Fraction(3, 4)}, mode)
+    a7 = a.mul_trunc(MultiPoly.const(2, 1, mode), 33)
+    assert poly._pack(b6)[0] == 6 and poly._pack(a7)[0] == 7
+    for lo, hi, k in ((a, b, 5), (zero, b, 5), (a, zero, 5), (zero, zero, 5), (a7, b6, 33)):
+        want = combine_trunc(2, mode, [(1, lo), (1, hi)], k)
+        assert _packed(append_above(lo, hi, k)) == _packed(want)
+
+
+def test_an_append_refuses_a_slice_at_or_below_the_top_degree(xy):
+    x, y = xy
+    a = x * y + x
+    for b in (x * x + y ** 3, y):
+        with pytest.raises(ValueError, match="above"):
+            append_above(a, b, 5)
+
+
+def test_a_recovery_appends_each_slice_of_sigma_powers(monkeypatch, quartic_field):
+    h = shift_jet(quartic_field, QUARTIC_ALPHA, 18)
+    calls = _count_calls(monkeypatch, "combine_trunc")
+    monkeypatch.setattr(recover, "combine_trunc", poly.combine_trunc)
+    result = recover_shift_jet(quartic_field, h, 18)
+    assert [o.poly for o in result.omegas] == QUARTIC_ALPHA.graded_parts(15)
+    # a sum of two operands, the second wholly above the first's degree, is
+    # an append: a sigma^i (or sigma) and its new slice
+    sums = [terms for _, _, terms, *_ in calls
+            if len(terms) == 2 and all(len(t) == 2 and t[0] == 1 for t in terms)
+            and terms[1][1].min_degree() > terms[0][1].degree()]
+    assert calls and sums == []
 
 
 def test_a_float_difference_is_the_sum_with_the_negation():
