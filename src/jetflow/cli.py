@@ -75,15 +75,15 @@ def _split_coords(text):
     return parts
 
 
-def _load_json_operand(text):
-    """Operands of the form @file.json re-ingest a JSON result document."""
-    with open(text[1:], "r", encoding="utf-8") as fh:
+def _read_json(path):
+    """The JSON document in a file: an @file.json operand or a --jets file."""
+    with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def _parse_map(text, mode, vars_override, expect_n=None):
     if text.startswith("@"):
-        data = _load_json_operand(text)
+        data = _read_json(text[1:])
         mapped = polymap_from_json(data, mode)
         n = expect_n if expect_n is not None else mapped.nvars
         if mapped.nvars != n:
@@ -100,7 +100,7 @@ def _parse_map(text, mode, vars_override, expect_n=None):
 
 def _parse_scalar(text, names, mode):
     if text.startswith("@"):
-        return poly_from_json(_load_json_operand(text), len(names), mode)
+        return poly_from_json(_read_json(text[1:]), len(names), mode)
     return parse_poly(text, names, mode)
 
 
@@ -109,8 +109,12 @@ def _parse_field(args, mode):
     return VectorFieldJet(fmap), names
 
 
+def _split_funcs(text):
+    return [p.strip() for p in text.split(";") if p.strip()]
+
+
 def _parse_funcs(text, vars_override):
-    parts = [p.strip() for p in text.split(";") if p.strip()]
+    parts = _split_funcs(text)
     if not parts:
         raise UsageError("no functions given")
     n = len(parts) + 1
@@ -129,11 +133,6 @@ def _parse_matrix(text):
     return RatMatrix(rows)
 
 
-def _check_order(args):
-    if args.order_k > MAX_ORDER:
-        raise UsageError(f"-K must be at most {MAX_ORDER}, got {args.order_k}")
-
-
 def _mode(args):
     return FLOAT if getattr(args, "float_mode", False) else EXACT
 
@@ -142,9 +141,6 @@ def _mode(args):
 
 
 def _cmd_flow_jet(args):
-    if args.order_n > MAX_FLOW_ORDER:
-        raise UsageError(f"-N must be at most {MAX_FLOW_ORDER}, got {args.order_n}")
-    _check_order(args)
     field, names = _parse_field(args, _mode(args))
     flow = flow_taylor_coeffs(field, args.order_n, args.order_k)
     result = {"p": field.p, "v": [polymap_to_json(v) for v in flow.coeffs]}
@@ -155,7 +151,6 @@ def _cmd_flow_jet(args):
 
 
 def _cmd_shift_jet(args):
-    _check_order(args)
     mode = _mode(args)
     field, names = _parse_field(args, mode)
     alpha = _parse_scalar(args.alpha, names, mode)
@@ -164,7 +159,6 @@ def _cmd_shift_jet(args):
 
 
 def _cmd_hatted_shift(args):
-    _check_order(args)
     mode = _mode(args)
     field, names = _parse_field(args, mode)
     hmap, _ = _parse_map(args.map, mode, args.vars, expect_n=field.n)
@@ -174,7 +168,6 @@ def _cmd_hatted_shift(args):
 
 
 def _cmd_recover(args):
-    _check_order(args)
     from . import recover as recover_mod
     mode = _mode(args)
     field, names = _parse_field(args, mode)
@@ -230,7 +223,7 @@ def _cmd_cross(args):
 def _cmd_integral_rep(args):
     from . import fields as fields_mod
     field, names = _parse_field(args, EXACT)
-    parts = [p.strip() for p in args.funcs.split(";") if p.strip()]
+    parts = _split_funcs(args.funcs)
     if len(parts) != field.n - 1:
         raise UsageError(f"need {field.n - 1} functions for a field in {field.n} variables")
     funcs = [parse_poly(p, names) for p in parts]
@@ -283,9 +276,7 @@ def _cmd_profile(args):
 
 def _cmd_borel(args):
     from . import borel as borel_mod
-    with open(args.jets, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    omegas = jets_from_json(data)
+    omegas = jets_from_json(_read_json(args.jets))
     realization = borel_mod.realize_jet(omegas)
     result = {"radii": realization.radii}
     lines = [f"radii = {realization.radii}"]
@@ -312,11 +303,34 @@ def _cmd_borel(args):
     return result, lines
 
 
-def _add_common(sp, *, float_flag=False):
-    sp.add_argument("--vars", default=None, help="comma-separated variable names")
-    sp.add_argument("--json", action="store_true", dest="json_out")
-    if float_flag:
-        sp.add_argument("--float", action="store_true", dest="float_mode")
+# The value options, as (flag, dest, type, required); an optional one
+# defaults to None.
+_F, _K, _H = ("-F", "field", str, True), ("-K", "order_k", int, True), ("-h", "map", str, True)
+_FUNCS, _G = ("-f", "funcs", str, True), ("-g", "g", str, True)
+
+# subcommand: (handler, takes --float, value options); every subcommand also
+# takes --vars and --json.
+_COMMANDS = {
+    "flow-jet": (_cmd_flow_jet, True, [_F, ("-N", "order_n", int, True), _K]),
+    "shift-jet": (_cmd_shift_jet, True, [_F, ("-a", "alpha", str, True), _K]),
+    "hatted-shift": (_cmd_hatted_shift, True, [_F, _H, ("-b", "beta", str, True), _K]),
+    "recover": (_cmd_recover, True, [_F, _H, _K]),
+    "check-star": (_cmd_check_star, False, [_F]),
+    "reduce-ham": (_cmd_reduce_ham, False, [_G]),
+    "cross": (_cmd_cross, False, [_FUNCS]),
+    "integral-rep": (_cmd_integral_rep, False, [_F, _FUNCS]),
+    "stab": (_cmd_stab, False, [_FUNCS]),
+    "classify-exp": (_cmd_classify_exp, False, [("-L", "matrix", str, True)]),
+    "profile": (_cmd_profile, False, [_G]),
+    "borel": (_cmd_borel, False, [("--jets", "jets", str, True),
+                                  ("--eval", "eval_point", str, False),
+                                  ("--fd-order", "fd_order", int, False),
+                                  ("--fd-step", "fd_step", float, False)]),
+}
+
+# Upper bounds, {dest: (flag, cap)}, checked in this order before the
+# handler runs, so before any input is parsed or any pipeline imported.
+_BOUNDS = {"order_n": ("-N", MAX_FLOW_ORDER), "order_k": ("-K", MAX_ORDER)}
 
 
 def build_parser():
@@ -324,74 +338,15 @@ def build_parser():
     top.add_argument("--batch", default=None, metavar="FILE",
                      help="run one command line per file line")
     sub = top.add_subparsers(dest="command")
-
-    def new(name, handler, **kw):
-        sp = sub.add_parser(name, add_help=False, **kw)
+    for name, (handler, float_flag, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, add_help=False)
         sp.set_defaults(handler=handler)
-        return sp
-
-    sp = new("flow-jet", _cmd_flow_jet)
-    sp.add_argument("-F", dest="field", required=True)
-    sp.add_argument("-N", dest="order_n", type=int, required=True)
-    sp.add_argument("-K", dest="order_k", type=int, required=True)
-    _add_common(sp, float_flag=True)
-
-    sp = new("shift-jet", _cmd_shift_jet)
-    sp.add_argument("-F", dest="field", required=True)
-    sp.add_argument("-a", dest="alpha", required=True)
-    sp.add_argument("-K", dest="order_k", type=int, required=True)
-    _add_common(sp, float_flag=True)
-
-    sp = new("hatted-shift", _cmd_hatted_shift)
-    sp.add_argument("-F", dest="field", required=True)
-    sp.add_argument("-h", dest="map", required=True)
-    sp.add_argument("-b", dest="beta", required=True)
-    sp.add_argument("-K", dest="order_k", type=int, required=True)
-    _add_common(sp, float_flag=True)
-
-    sp = new("recover", _cmd_recover)
-    sp.add_argument("-F", dest="field", required=True)
-    sp.add_argument("-h", dest="map", required=True)
-    sp.add_argument("-K", dest="order_k", type=int, required=True)
-    _add_common(sp, float_flag=True)
-
-    sp = new("check-star", _cmd_check_star)
-    sp.add_argument("-F", dest="field", required=True)
-    _add_common(sp)
-
-    sp = new("reduce-ham", _cmd_reduce_ham)
-    sp.add_argument("-g", dest="g", required=True)
-    _add_common(sp)
-
-    sp = new("cross", _cmd_cross)
-    sp.add_argument("-f", dest="funcs", required=True,
-                    help="semicolon-separated functions G1;G2;...")
-    _add_common(sp)
-
-    sp = new("integral-rep", _cmd_integral_rep)
-    sp.add_argument("-F", dest="field", required=True)
-    sp.add_argument("-f", dest="funcs", required=True)
-    _add_common(sp)
-
-    sp = new("stab", _cmd_stab)
-    sp.add_argument("-f", dest="funcs", required=True)
-    _add_common(sp)
-
-    sp = new("classify-exp", _cmd_classify_exp)
-    sp.add_argument("-L", dest="matrix", required=True, help='rows as "a,b;c,d"')
-    _add_common(sp)
-
-    sp = new("profile", _cmd_profile)
-    sp.add_argument("-g", dest="g", required=True)
-    _add_common(sp)
-
-    sp = new("borel", _cmd_borel)
-    sp.add_argument("--jets", dest="jets", required=True, metavar="FILE")
-    sp.add_argument("--eval", dest="eval_point", default=None, metavar="PT")
-    sp.add_argument("--fd-order", dest="fd_order", type=int, default=None)
-    sp.add_argument("--fd-step", dest="fd_step", type=float, default=None)
-    _add_common(sp)
-
+        for flag, dest, kind, required in options:
+            sp.add_argument(flag, dest=dest, type=kind, required=required)
+        sp.add_argument("--vars")
+        sp.add_argument("--json", action="store_true", dest="json_out")
+        if float_flag:
+            sp.add_argument("--float", action="store_true", dest="float_mode")
     return top
 
 
@@ -473,6 +428,9 @@ def run(argv, _batches=()):
         return 1
 
     try:
+        for dest, (flag, cap) in _BOUNDS.items():
+            if getattr(args, dest, 0) > cap:
+                raise UsageError(f"{flag} must be at most {cap}, got {getattr(args, dest)}")
         result, lines = args.handler(args)
     except ParseError as exc:
         _emit(args, args.command,

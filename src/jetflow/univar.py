@@ -115,30 +115,20 @@ def _variations_at(chain, x):
     return _sign_variations([_sign(evaluate(f, x)) for f in chain])
 
 
-def _variations_at_infinity(chain, positive):
-    signs = []
-    for f in chain:
-        if not f:
-            signs.append(0)
-            continue
-        s = _sign(f[-1])
-        if not positive and degree(f) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _sign_variations(signs)
-
-
 def count_real_roots(p, lo=None, hi=None):
     """Number of distinct real roots of p in (lo, hi); None means +-infinity.
 
-    Finite endpoints must not be roots of p.
+    Finite endpoints must not be roots of p.  An infinite one is read at the
+    Cauchy bound 1 + max|c_i / c_n|, beyond which p has no root, and the
+    chain's sign variations change only at roots of p.
     """
     p = normalize(p)
     if degree(p) <= 0:
         return 0
     chain = sturm_chain(p)
-    va = _variations_at_infinity(chain, False) if lo is None else _variations_at(chain, lo)
-    vb = _variations_at_infinity(chain, True) if hi is None else _variations_at(chain, hi)
+    bound = 1 + max(abs(c / p[-1]) for c in p[:-1])
+    va = _variations_at(chain, -bound if lo is None else lo)
+    vb = _variations_at(chain, bound if hi is None else hi)
     return va - vb
 
 

@@ -386,6 +386,58 @@ def test_cli_truncation_order_is_bounded(monkeypatch, capsys, argv):
         assert f"-K must be at most {MAX_ORDER}, got {order}" == doc["error"]["detail"]
 
 
+def test_cli_bounds_are_checked_before_any_input_is_read(capsys):
+    # -N is checked first; a refused -K stops recover before it imports its pipeline
+    assert run(["flow-jet", "-F", "x^2", "-N", "201", "-K", "101", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["detail"] == "-N must be at most 200, got 201"
+    script = (
+        "import sys\n"
+        "from jetflow import cli\n"
+        "code = cli.run(['recover', '-F', 'x^2', '-h', 'x', '-K', '101', '--json'])\n"
+        "print(code, 'jetflow.recover' in sys.modules)\n")
+    out = fresh_python(script).splitlines()
+    assert json.loads(out[0])["error"]["detail"] == "-K must be at most 100, got 101"
+    assert out[-1] == "1 False"
+
+
+# Each subcommand: the flags it requires, in the order it names them, a
+# command line that runs it, and whether it takes --float.
+_SUBCOMMANDS = [
+    ("flow-jet", "-F, -N, -K", ["-F", "x^2", "-N", "2", "-K", "3"], True),
+    ("shift-jet", "-F, -a, -K", ["-F", "x^2", "-a", "x", "-K", "3"], True),
+    ("hatted-shift", "-F, -h, -b, -K", ["-F", "x^2", "-h", "x", "-b", "x", "-K", "3"], True),
+    ("recover", "-F, -h, -K", ["-F", "x^2", "-h", "x+x^3", "-K", "3"], True),
+    ("check-star", "-F", ["-F", "-4*x, 3*y"], False),
+    ("reduce-ham", "-g", ["-g", "x^3*y^4"], False),
+    ("cross", "-f", ["-f", "x^3*y^4"], False),
+    ("integral-rep", "-F, -f", ["-F", "-4*x, 3*y", "-f", "x^3*y^4"], False),
+    ("stab", "-f", ["-f", "x^2+y^2"], False),
+    ("classify-exp", "-L", ["-L", "0,-1;1,0"], False),
+    ("profile", "-g", ["-g", "x*y"], False),
+    ("borel", "--jets", ["--jets", "jets.json", "--eval", "0.1", "--fd-order", "1",
+                         "--fd-step", "0.01"], False),
+]
+
+
+@pytest.mark.parametrize("command, required, argv, takes_float", _SUBCOMMANDS,
+                         ids=[c[0] for c in _SUBCOMMANDS])
+def test_cli_subcommand_options(tmp_path, monkeypatch, capsys, command, required, argv,
+                                takes_float):
+    from jetflow.serialize import jets_to_json
+    (tmp_path / "jets.json").write_text(json.dumps(jets_to_json([MultiPoly.const(1, 1)], 1)))
+    monkeypatch.chdir(tmp_path)
+    assert run([command]) == 1
+    assert capsys.readouterr().err == f"usage error: the following arguments are required: {required}\n"
+    assert run([command] + argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    code = run([command] + argv + ["--float", "--json"])
+    captured = capsys.readouterr()
+    if takes_float:
+        assert code == 0 and json.loads(captured.out)["ok"] is True
+    else:
+        assert code == 1 and captured.err == "usage error: unrecognized arguments: --float\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--fd-order", "3", "--fd-step", "1e-200"],  # h^3 underflows to 0
     ["--eval", "nan,0"],
