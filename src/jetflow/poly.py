@@ -558,17 +558,23 @@ def combine_trunc(n, mode, terms, k, lo=0, width=None):
     a term (c, a) omits b, which stands for 1: the one product and sum loop.
 
     The result is packed at order ``width``'s key width (k's by default;
-    width >= k; see _width), and an operand of another width is re-keyed to
-    it (see _pack), so that a computation to order K that passes K keeps its
-    lower-order products at K's width.  Only the pairs of terms that land in
-    degrees lo..k are visited, each range found by bisection.  All sums run
-    in one dict: exact ones on integer numerators over one common
-    denominator, float ones in the order the terms are given, each product
-    over a's ascending terms, then b's, as (c * a) * b.  Every nonzero sum
-    is kept.
+    see _width), and an operand of another width is re-keyed to it (see
+    _pack), so that a computation to order K that passes K keeps its
+    lower-order products at K's width.  Raises ValueError for a width below
+    k, whose key fields a degree-k exponent would overflow.  Only the pairs
+    of terms that land in degrees lo..k are visited.  A product cuts a once
+    to its degrees lo - high(b)..k - low(b) and walks that cut in degree
+    blocks: for a's block of degree e, bisection finds the end of the block
+    and b's run of degrees max(lo - e, low(b))..k - e, and every term of the
+    block meets that one run.  All sums run in one dict: exact ones on
+    integer numerators over one common denominator, float ones in the order
+    the terms are given, each product over a's ascending terms, then b's, as
+    (c * a) * b.  Every nonzero sum is kept.
     """
     if k < max(lo, 0):
         return MultiPoly.zero(n, mode)
+    if width is not None and width < k:
+        raise ValueError(f"combine_trunc needs width >= k, got width {width} for k = {k}")
     bits = _width(k if width is None else width)
     exact = mode == EXACT
     packs, den, d = [], 1, 1
@@ -595,20 +601,25 @@ def combine_trunc(n, mode, terms, k, lo=0, width=None):
         if not keys2:
             continue
         low2, high2 = keys2[0] >> shift, keys2[-1] >> shift
-        if lo > high2:
-            first = bisect_left(keys1, (lo - high2) << shift)
-            keys1, values1 = keys1[first:], values1[first:]
+        # a's terms of degree lo - high2..k - low2, the ones that meet b in lo..k
+        first = bisect_left(keys1, (lo - high2) << shift) if lo > high2 else 0
+        stop = bisect_left(keys1, (k - low2 + 1) << shift)
+        keys1, values1 = keys1[first:stop], values1[first:stop]
         if f != 1:
             values1 = [f * v for v in values1]
-        for key1, v1 in zip(keys1, values1):
-            deg1 = key1 >> shift
-            if deg1 + low2 > k:
-                break
+        # a's terms of degree deg1 meet one run of b: degrees max(lo - deg1, low2)..k - deg1
+        i, m = 0, len(keys1)
+        while i < m:
+            deg1 = keys1[i] >> shift
+            end = bisect_left(keys1, (deg1 + 1) << shift, i)
             start = bisect_left(keys2, (lo - deg1) << shift) if lo > deg1 + low2 else 0
             cut = bisect_left(keys2, (k - deg1 + 1) << shift)
-            for key2, v2 in zip(keys2[start:cut], values2[start:cut]):
-                key = key1 + key2
-                sums[key] = get(key, 0) + v1 * v2
+            run = list(zip(keys2[start:cut], values2[start:cut]))
+            for key1, v1 in zip(keys1[i:end], values1[i:end]):
+                for key2, v2 in run:
+                    key = key1 + key2
+                    sums[key] = get(key, 0) + v1 * v2
+            i = end
     return _from_sums(n, mode, bits, sums, den)
 
 

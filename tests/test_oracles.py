@@ -267,20 +267,22 @@ def test_float_mul_trunc_matches_schoolbook(pair, k):
 
 
 @st.composite
-def combinations(draw, mode=EXACT):
+def combinations(draw, mode=EXACT, max_deg=5, max_terms=8):
     """(nvars, terms, lo, k, width) for combine_trunc: up to three terms
     (c, a, b) or (c, a) with b omitted, in one mode (exact coefficients and
-    factors with mixed denominators), any operand possibly empty, a degree
-    window lo..k that may lie above every product's degree, and an optional
-    packing order >= k."""
+    factors with mixed denominators), operands of degree <= max_deg with up
+    to max_terms terms, any operand possibly empty, a degree window lo..k
+    that may lie above every product's degree, and an optional packing
+    order >= k."""
     nvars = draw(st.integers(1, 3))
     coeffs = COEFFS if mode == EXACT else FLOATS
-    operands = polys(nvars, coeffs=coeffs, mode=mode)
+    operands = polys(nvars, max_deg=max_deg, max_terms=max_terms, coeffs=coeffs, mode=mode)
     terms = [(draw(coeffs), *draw(st.lists(operands, min_size=1, max_size=2)))
              for _ in range(draw(st.integers(0, 3)))]
-    k = draw(st.integers(-1, 12))
+    top = max(12, 2 * max_deg + 1)
+    k = draw(st.integers(-1, top))
     width = draw(st.none() | st.integers(max(k, 0), 40))
-    return nvars, terms, draw(st.integers(0, 12)), k, width
+    return nvars, terms, draw(st.integers(0, top)), k, width
 
 
 W = MultiPoly(2, {(1, 0): Fraction(1, 2), (0, 2): Fraction(-2, 3)})
@@ -314,6 +316,37 @@ def test_float_combine_trunc_matches_schoolbook(case):
     nvars, terms, lo, k, width = case
     got = combine_trunc(nvars, FLOAT, terms, k, lo, width).terms
     assert same_terms(got, schoolbook_combine(terms, lo, k))
+
+
+A = MultiPoly(2, {(1, 0): Fraction(1, 2), (5, 0): Fraction(-2, 3)})  # degrees 1 and 5
+B = MultiPoly(2, {(0, 0): Fraction(3, 5), (0, 3): 7})  # degrees 0 and 3
+C = MultiPoly(2, {(0, 0): 2, (1, 0): Fraction(-1, 3), (1, 1): Fraction(5, 4)})  # 0, 1 and 2
+ZERO = MultiPoly.zero(2)
+
+
+@ORACLE
+@given(mode_case=st.sampled_from([EXACT, FLOAT]).flatmap(
+    lambda mode: combinations(mode, max_deg=8, max_terms=20).map(lambda case: (mode, case))))
+@example(mode_case=(EXACT, (2, [(1, A, B)], 4, 4, None)))  # a's degree 1 meets b's 3 only
+@example(mode_case=(FLOAT, (2, [(0.1, A.to_float(), B.to_float())], 4, 4, None)))
+@example(mode_case=(EXACT, (2, [(1, A, B)], 0, 9, None)))  # every slice, b's run cut below
+@example(mode_case=(EXACT, (2, [(1, C, B)], 0, 3, None)))  # blocks of adjacent degrees
+@example(mode_case=(EXACT, (2, [(1, ZERO, B), (2, A)], 0, 9, None)))  # an empty a
+@example(mode_case=(EXACT, (2, [(1, A, ZERO), (2, B)], 0, 9, 12)))  # an empty b
+@example(mode_case=(EXACT, (2, [(1, A, MultiPoly(2, {(0, 3): 7}))], 0, 2, None)))  # k < low(b)
+@example(mode_case=(EXACT, (2, [(1, A, B), (-1, B)], 9, 12, None)))  # lo above every product
+def test_combine_trunc_slices_add_up_to_their_window(mode_case):
+    """The degree-d slices, d = max(lo, 0)..k, each one call, hold degree d
+    only and together are the window lo..k: exactly, and bitwise for floats."""
+    mode, (nvars, terms, lo, k, width) = mode_case
+    window = combine_trunc(nvars, mode, terms, k, lo, width).terms
+    assert all(lo <= sum(m) <= k for m in window)
+    slices = {}
+    for d in range(max(lo, 0), k + 1):
+        part = combine_trunc(nvars, mode, terms, d, d, width).terms
+        assert all(sum(m) == d for m in part)
+        slices.update(part)
+    assert same_terms(slices, window) if mode == FLOAT else slices == window
 
 
 # NaN, and magnitudes whose products underflow to 0.0 or overflow to inf

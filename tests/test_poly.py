@@ -365,6 +365,30 @@ def test_a_difference_is_one_kernel_call(monkeypatch, xy):
     assert 3 - a == want_ca and len(calls) == 2
 
 
+def test_a_product_bisects_once_per_degree_block_of_a(monkeypatch):
+    dense = [m for e in range(9) for m in poly.monomials_of_degree(3, e)]
+    a = MultiPoly(3, {m: Fraction(sum(m) + 1, 2) for m in dense})
+    b = MultiPoly(3, {m: Fraction(1, sum(m) + 2) for m in dense})
+    bound = 3 * len({sum(m) for m in a.terms}) + 2
+    assert (len(a.terms), bound) == (165, 29)
+    for lo in (0, 8):
+        want = {m: c for m, c in (a * b).terms.items() if lo <= sum(m) <= 8}
+        calls = _count_calls(monkeypatch, "bisect_left")
+        assert combine_trunc(3, EXACT, [(1, a, b)], 8, lo).terms == want
+        assert len(calls) <= bound
+        monkeypatch.undo()
+
+
+def test_a_width_below_k_is_refused():
+    a = MultiPoly(1, {(40,): 1})  # a 6-bit field would wrap x^80 to x^16
+    with pytest.raises(ValueError, match="width"):
+        combine_trunc(1, EXACT, [(1, a, a)], 80, 0, 10)
+    with pytest.raises(ValueError, match="width"):
+        a.mul_trunc(a, 80, 10)
+    assert a.mul_trunc(a, 80, 80) == a * a
+    assert combine_trunc(1, EXACT, [(1, a, a)], 5, 6, 4).is_zero()  # k < lo: no product
+
+
 def _packed(p):
     """p's packed form, with each value's repr so that floats compare bitwise."""
     bits, keys, values, den = poly._pack(p)
