@@ -26,6 +26,16 @@ The slice sizes of h - Phi(x, sigma) come out on the way
 proved v = P omega_l, so that degree's residual is 0 without forming P
 omega_l again, and in float mode v - P omega_l is one combine_trunc per
 coordinate.
+Float mode first tests each slice v against its own rounding: with S the
+sum of |c| max|a| max|b| over the terms (c, a, b) of every coordinate's sum
+(max|b| = 1 for (1, h - x)), a slice with max|v| <= min(tol, 64 u S), u =
+2**-52, is rounding of a zero omega_l (a running error bound: Higham,
+"Accuracy and Stability of Numerical Algorithms", 2nd ed., 3.3).  omega_l
+is then the zero polynomial, sigma and its powers stay as they are, and that
+degree's residual is max|v|; so an omega that is zero in truth comes back
+empty and keeps sigma, its powers and the later slices sparse.  Every max
+is a running value: max|h - x| and max|v_i| are taken once as read, and
+max|sigma^i| grows with each slice appended to sigma^i.
 Nothing is composed with h, except once in float mode with p = 1: there h
 is first moved by the flow for time -omega_0, which leaves a shift function
 of order >= 1.
@@ -46,6 +56,11 @@ from .linalg import RatMatrix
 from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, append_above, as_poly,
                    combine_trunc, common_quotient, monomials_of_degree)
 
+# A float slice of h - Phi(x, sigma) within _GAMMA * _U times the sum of
+# |c| max|a| max|b| over its products is rounding (see the module docstring).
+_GAMMA = 64
+_U = 2.0 ** -52
+
 
 @dataclasses.dataclass
 class RecoveryResult:
@@ -54,7 +69,10 @@ class RecoveryResult:
     residuals[m - 1] is the largest |coefficient| of h - Phi(x, sigma) at
     degree m = 1..K, sigma the sum of the omegas (in float mode with p = 1,
     of Phi(h, -omega_0) - Phi(x, sigma - omega_0)); residual_ok says that
-    each lies within the residual tolerance (0 in exact mode).
+    each lies within the residual tolerance (0 in exact mode).  A float
+    omega_l whose slice lay within its own rounding (see the module
+    docstring) is the zero polynomial, and residuals[p + l - 1] is then the
+    size of that slice.
     """
 
     omegas: list
@@ -309,25 +327,43 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
     # far as some degree reaches; minus_inv_fact[i] is -1/i!.
     pows, known, order, vs = [None, MultiPoly.zero(n, mode)], [None, None], math.inf, []
     minus_inv_fact = [-_inv_factorial(i, mode) for i in range(k + 1)]
+    # Float mode only: pow_max[i] is max |sigma^i|, updated from each slice
+    # appended to it, and v_max[i - 1] the sum over coordinates of max |v_i|.
+    floating = mode == FLOAT
+    pow_max, v_max = [None, 0.0], []
     for l in range(first, k - p + 1):
         d = p + l
         terms = [[(1, part)] for part in hx[d]]
+        # sum |c| max|a| max|b| over the terms of every coordinate's sum
+        scale = sum(part.max_abs_coeff() for part in hx[d]) if floating else 0
         i = 1
         while i * (p - 1 + order) < d:
             if i == len(pows):
                 pows.append(MultiPoly.zero(n, mode))
                 known.append(i * order - 1)
+                pow_max.append(0.0)
             while i > 1 and known[i] < d - i * (p - 1) - 1:
                 known[i] += 1
                 step = combine_trunc(n, mode, [(1, pows[i - 1], pows[1])], known[i], known[i], k)
                 pows[i] = append_above(pows[i], step, k)
+                if floating:
+                    pow_max[i] = max(pow_max[i], step.max_abs_coeff())
             if i > len(vs):
                 vs = field.flow_coeffs(i, k)
+                if floating:
+                    v_max += [sum(c.max_abs_coeff() for c in v_i.coords) for v_i in vs[len(v_max):]]
             for coord, v_ij in zip(terms, vs[i - 1].coords):
                 coord.append((minus_inv_fact[i], v_ij, pows[i]))
+            if floating:
+                scale -= minus_inv_fact[i] * v_max[i - 1] * pow_max[i]
             i += 1
         # the degree-d slice of h - Phi(x, sigma), one sum per coordinate
         v = PolyMap([combine_trunc(n, mode, coord, d, d, k) for coord in terms])
+        if floating and (size := v.max_abs_coeff()) <= bound and size <= _GAMMA * _U * scale:
+            # v is rounding: omega_l is zero, and sigma and its powers stay
+            omegas.append(HomogPoly.zero(n, l, FLOAT))
+            residuals.append(size)
+            continue
         omegas.append(divide_by_initial_part(v, field.P, l, tol))
         omega = omegas[l].poly
         if mode == EXACT:
@@ -344,6 +380,8 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
         if not omega.is_zero():
             pows[1] = append_above(pows[1], omega, k)
             order = min(order, l)
+            if floating:
+                pow_max[1] = max(pow_max[1], omega.max_abs_coeff())
 
     return RecoveryResult(omegas, all(r <= bound for r in residuals), mode, residuals)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -486,3 +487,80 @@ def test_residual_verdict_matches_an_independent_residual(quartic_field, mode):
 def test_recovery_result_residuals_default():
     res = RecoveryResult([], True, EXACT)
     assert res.residuals == [] and res == RecoveryResult([], True, EXACT, [])
+
+
+def _float_rotation_field():
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    return VectorFieldJet(PolyMap([y + x * x, -x + y * y])), x, y
+
+
+def test_float_recovery_keeps_zero_components_empty():
+    # the omega_l, l >= 2, of alpha = x are zero: their slices lie within
+    # their own rounding, so nothing at rounding level enters sigma
+    field, x, _ = _float_rotation_field()
+    res = recover_shift_jet(field, shift_jet(field, x, 30), 30)
+    assert res.residual_ok
+    assert all(not omega.poly.terms for omega in res.omegas[2:])
+    omega_1 = res.omegas[1].poly
+    for mono in set(omega_1.terms) | {(1, 0)}:
+        want = 1.0 if mono == (1, 0) else 0.0
+        assert abs(omega_1.coefficient(mono) - want) <= 4 * math.ulp(1.0)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12])
+def test_float_recovery_keeps_small_true_components(eps):
+    # a true omega of size eps is far above its slice's rounding, however
+    # far below the residual tolerance
+    field, x, y = _float_rotation_field()
+    alpha = x + (x * x - x * y * y).scale(eps)
+    res = recover_shift_jet(field, shift_jet(field, alpha, 12), 12)
+    assert res.residual_ok
+    assert abs(res.omegas[2].poly.coefficient((2, 0)) - eps) <= 1e-15
+    assert abs(res.omegas[3].poly.coefficient((1, 2)) + eps) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [3, 7, 12, 19])
+@pytest.mark.parametrize("j", [0, 1])
+def test_float_recovery_refuses_a_perturbed_coefficient(d, j):
+    # the largest coefficient of degree d in coordinate j, off by 1e-6
+    # relative, is neither rounding nor P * omega
+    field, x, _ = _float_rotation_field()
+    h = shift_jet(field, x, 20)
+    part = h.coords[j].homogeneous_part(d).poly
+    mono, c = max(part.terms.items(), key=lambda item: abs(item[1]))
+    bump = MultiPoly(2, {mono: c * 1e-6}, FLOAT)
+    broken = PolyMap([q + bump if i == j else q for i, q in enumerate(h.coords)], 20)
+    with pytest.raises(InconsistentJetError):
+        recover_shift_jet(field, broken, 20)
+
+
+def _exact_round_trip_cases(quartic_field):
+    rng = random.Random("exact digest")
+    menu = [Fraction(s * a, b) for s in (1, -1) for a, b in ((1, 1), (2, 1), (1, 2), (3, 2))]
+
+    def dense(nvars, degrees):
+        return MultiPoly(nvars, {m: rng.choice(menu) for d in degrees
+                                 for m in monomials_of_degree(nvars, d)})
+
+    cases = [(quartic_field, dense(2, range(4)), k)
+             for k in (10, 14, 18) for _ in range(6)]
+    for _ in range(2):
+        field = VectorFieldJet(PolyMap([dense(3, (2, 3)) for _ in range(3)]))
+        cases += [(field, dense(3, range(3)), k) for k in (6, 8) for _ in range(4)]
+    return cases
+
+
+def test_exact_round_trips_match_their_pinned_digest(quartic_field):
+    # exact h and omegas are unique rationals, so any correct implementation
+    # reproduces this digest of h, every omega, the residuals and the verdict
+    def sorted_terms(p):
+        return sorted((mono, Fraction(c)) for mono, c in p.terms.items())
+
+    digest = hashlib.sha256()
+    for field, alpha, k in _exact_round_trip_cases(quartic_field):
+        h = shift_jet(field, alpha, k)
+        res = recover_shift_jet(field, h, k)
+        digest.update(repr([[sorted_terms(c) for c in h.coords],
+                            [sorted_terms(omega.poly) for omega in res.omegas],
+                            [Fraction(r) for r in res.residuals], res.residual_ok]).encode())
+    assert digest.hexdigest()[:16] == "9985a0dcf0a4e131"
