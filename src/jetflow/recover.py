@@ -1,44 +1,41 @@
 """Recovery of a shift function's homogeneous components from a jet.
 
-Given a vector field F with flat order p and initial part P, and a map jet h
-that is formally a shift x -> Phi(x, sigma(x)) along the orbits of F, the
-homogeneous components omega_0, omega_1, ... of sigma are recovered order by
-order: with sigma_{l-1} = omega_0 + ... + omega_{l-1}, every slice of
-h - Phi(x, sigma_{l-1}) below degree p + l must vanish, and the degree-(p+l)
-slice must factor as P * omega_l: in exact mode omega_l is the common
-quotient of the slice by P (poly.common_quotient), in float mode a
-least-squares solution.
+Given a vector field F with flat order p and a map jet h that is formally a
+shift x -> Phi(x, c + sigma(x)) along the orbits of F, the homogeneous
+components omega_0, omega_1, ... of c + sigma are recovered order by order.
+c = omega_0 is delta0_linear's time in float mode with p = 1, where sigma
+starts at omega_1, and c = 0 otherwise.  Phi(x, c + sigma) =
+sum_i w_i sigma^i / i! over the field's flow series w_0 = Phi_c,
+w_{i+1} = (F . grad) w_i (VectorFieldJet.flow_series; at c = 0, w_0 = x and
+w_i = v_i), the identity that jet.hatted_shift_jet sums, so nothing is
+composed with h.  With sigma_{l-1} the omegas found so far, every slice of
+h - Phi(x, c + sigma_{l-1}) below degree p + l must vanish, and the
+degree-(p+l) slice must factor as D omega_l, D the degree-p slice of w_1
+(the initial part P at c = 0): in exact mode omega_l is the common quotient
+(poly.common_quotient), in float mode a least-squares solution.
 
-Phi(x, sigma) = x + sum_i v_i sigma^i / i! is evaluated online, in the
-manner of relaxed power series (van der Hoeven, "Relax, but don't be too
-lazy", J. Symbolic Comput. 34, 2002): each degree slice of each power
-sigma^i is computed once, as soon as the omegas it needs are known, and
-sigma^i grows by appending it (poly.append_above: the slice lies above every
-term the power holds, so nothing is summed again).  The degree-(p+l) slice
-of h - Phi(x, sigma_{l-1}) is one poly.combine_trunc per coordinate over
-known factors, (1, h - x) and (-1/i!, v_i, sigma^i), where h - x is h's own
-slices with x taken from degree 1 only.  Each v_i is read from the field's
-cached flow series only once a slice needs it.  omega_l enters that degree
-only through v_1 sigma = P omega_l + ..., so each order costs one degree of
-product work and a whole recovery about as much as one shift jet at order K.
-The slice sizes of h - Phi(x, sigma) come out on the way
-(RecoveryResult.residuals); in exact mode a successful division has already
-proved v = P omega_l, so that degree's residual is 0 without forming P
-omega_l again, and in float mode v - P omega_l is one combine_trunc per
-coordinate.
+The sum is evaluated online, in the manner of relaxed power series (van der
+Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002): each
+degree slice of each power sigma^i is computed once, as soon as the omegas
+it needs are known, and sigma^i grows by appending it (poly.append_above).
+The degree-(p+l) slice of h - Phi(x, c + sigma_{l-1}) is one
+poly.combine_trunc per coordinate over known factors, (1, h), (-1, w_0) and
+(-1/i!, w_i, sigma^i), h and w_0 cut to that degree.  At c = 0 each w_i is
+read from the field's cache only once a slice needs it; otherwise the list
+is built once.  omega_l enters that degree only as D omega_l, so a whole
+recovery costs about as much as one shift jet at order K.  The slice sizes
+of h - Phi(x, sigma) come out on the way (RecoveryResult.residuals): 0 in
+exact mode, where the division proved the slice is D omega_l, and one more
+combine_trunc per coordinate in float mode.
 Float mode first tests each slice v against its own rounding: with S the
 sum of |c| max|a| max|b| over the terms (c, a, b) of every coordinate's sum
-(max|b| = 1 for (1, h - x)), a slice with max|v| <= min(tol, 64 u S), u =
-2**-52, is rounding of a zero omega_l (a running error bound: Higham,
+(max|b| = 1 where b is omitted), a slice with max|v| <= min(tol, 64 u S),
+u = 2**-52, is rounding of a zero omega_l (a running error bound: Higham,
 "Accuracy and Stability of Numerical Algorithms", 2nd ed., 3.3).  omega_l
 is then the zero polynomial, sigma and its powers stay as they are, and that
 degree's residual is max|v|; so an omega that is zero in truth comes back
-empty and keeps sigma, its powers and the later slices sparse.  Every max
-is a running value: max|h - x| and max|v_i| are taken once as read, and
-max|sigma^i| grows with each slice appended to sigma^i.
-Nothing is composed with h, except once in float mode with p = 1: there h
-is first moved by the flow for time -omega_0, which leaves a shift function
-of order >= 1.
+empty and keeps the later slices sparse.  Every max is a running value,
+taken once per operand as read or per slice appended to sigma^i.
 """
 
 from __future__ import annotations
@@ -67,9 +64,8 @@ class RecoveryResult:
     """Recovered components omega_l (deg omega_l = l) plus the residual verdict.
 
     residuals[m - 1] is the largest |coefficient| of h - Phi(x, sigma) at
-    degree m = 1..K, sigma the sum of the omegas (in float mode with p = 1,
-    of Phi(h, -omega_0) - Phi(x, sigma - omega_0)); residual_ok says that
-    each lies within the residual tolerance (0 in exact mode).  A float
+    degree m = 1..K, sigma the sum of the omegas; residual_ok says that each
+    lies within the residual tolerance (0 in exact mode).  A float
     omega_l whose slice lay within its own rounding (see the module
     docstring) is the zero polynomial, and residuals[p + l - 1] is then the
     size of that slice.
@@ -90,8 +86,9 @@ def _coord_polys(v):
 def divide_by_initial_part(v, p_vec, l=None, tol=None):
     """The unique omega of degree l with P_i * omega = v_i for all coordinates.
 
-    v is the homogeneous degree-(p+l) part of a jet minus the identity; P is
-    the initial part of the field.  Exact mode takes omega as the common
+    v is a homogeneous degree-(p+l) slice of a jet minus a shift; P is the
+    initial part of the field, or any vector of degree-p forms (recovery
+    passes the degree-p slice of w_1).  Exact mode takes omega as the common
     quotient of v by P (poly.common_quotient: one exact division, the other
     coordinates checked by multiplying back).  Float mode solves the stacked
     linear system in omega's coefficients by least squares and checks the
@@ -289,53 +286,54 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
 
     bound = config.residual_tol(tol) if mode == FLOAT else 0
     hl = h.truncate(k)
-    omegas = []
-
-    if p == 1:
-        if mode == EXACT:
-            if hl.linear_part() != PolyMap.identity(n, mode).linear_part():
-                raise ValueError(
-                    "exact recovery with p = 1 requires j^1(h) = id; "
-                    "normalize the input or use float mode")
-        else:
-            t = delta0_linear(hl.linear_part(), field.L, tol=delta0_tol)
-            omegas.append(HomogPoly(MultiPoly.const(n, t, FLOAT), 0))
-            # The one composition with h: Phi(h, -t) is the shift by the
-            # rest of the shift function, which has order >= 1.
-            hl = hatted_shift_jet(field, hl, -omegas[0].poly, k)
+    omegas, c = [], 0
+    if p == 1 and mode == EXACT:
+        if hl.linear_part() != PolyMap.identity(n, mode).linear_part():
+            raise ValueError(
+                "exact recovery with p = 1 requires j^1(h) = id; "
+                "normalize the input or use float mode")
+    elif p == 1:
+        # h = Phi(x, c + sigma), sigma the omegas from omega_1 on, of order >= 1
+        c = delta0_linear(hl.linear_part(), field.L, tol=delta0_tol)
+        omegas.append(HomogPoly(MultiPoly.const(n, c, FLOAT), 0))
 
     first = len(omegas)
-    # the slices of h - x by degree, 0..K: x is only in the degree-1 slice
-    hx = list(zip(*(c.graded_parts(k) for c in hl.coords)))
-    hx[1] = [part - x for part, x in zip(hx[1], PolyMap.identity(n, mode).coords)]
+    # ws[i] is w_i, with Phi(x, c + sigma) = sum_i w_i sigma^i / i!.  At c = 0
+    # it is read from the field's cache only as far as some degree reaches;
+    # otherwise every w_i that can reach degree K (i <= K - 1) is built at once.
+    ws = field.flow_series(c, max(k - 1, 1) if c else 1, k)
+    # each slice is divided by the degree-p slice of w_1: P at c = 0
+    divisor = [q.homogeneous_part(p) for q in ws[1].coords]
+    # every coordinate's sum starts with (1, h_j) and (-1, w_0j), which
+    # combine_trunc cuts to the degree it forms
+    base = [((1, a), (-1, b)) for a, b in zip(hl.coords, ws[0].coords)]
     # residuals[m - 1] is max |h - Phi(x, sigma)| at degree m.  A degree
     # below K above the bound is refused at the order that first sees it.
     residuals = []
     for m in range(1, p + first):
-        part = PolyMap(hx[m])
+        part = PolyMap([combine_trunc(n, mode, pair, m, m, k) for pair in base])
         residuals.append(part.max_abs_coeff())
         if m < k and not residuals[-1] <= bound:  # a NaN is refused too
             raise _differs(omegas, first, m, part)
 
-    # pows[1] is sigma = omega_first + ... + omega_{l-1}, of order ``order``
-    # (>= 1 when p = 1); pows[i] holds sigma^i through degree known[i].
-    # Phi(x, sigma) - x = sum_i v_i sigma^i / i! and v_i has order
+    # pows[1] is sigma = omega_first + ... + omega_{l-1}, of order ``order``;
+    # pows[i] holds sigma^i through degree known[i].  w_i has order
     # >= i(p-1) + 1, so only the terms with i(p-1) + 1 + i * order <= d reach
     # degree d, and they need sigma^i only through degree d - i(p-1) - 1:
-    # omega_l is missing there only for i = 1, where it contributes P omega_l.
-    # vs is v_1, v_2, ..., fetched from the field's cached flow series only as
-    # far as some degree reaches; minus_inv_fact[i] is -1/i!.
-    pows, known, order, vs = [None, MultiPoly.zero(n, mode)], [None, None], math.inf, []
+    # omega_l is missing there only for i = 1, where it contributes
+    # divisor * omega_l.  minus_inv_fact[i] is -1/i!.
+    pows, known, order = [None, MultiPoly.zero(n, mode)], [None, None], math.inf
     minus_inv_fact = [-_inv_factorial(i, mode) for i in range(k + 1)]
     # Float mode only: pow_max[i] is max |sigma^i|, updated from each slice
-    # appended to it, and v_max[i - 1] the sum over coordinates of max |v_i|.
+    # appended to it, and w_max[i] the sum over coordinates of max |w_i|.
     floating = mode == FLOAT
-    pow_max, v_max = [None, 0.0], []
+    pow_max, w_max = [None, 0.0], []
     for l in range(first, k - p + 1):
         d = p + l
-        terms = [[(1, part)] for part in hx[d]]
+        terms = [list(pair) for pair in base]
         # sum |c| max|a| max|b| over the terms of every coordinate's sum
-        scale = sum(part.max_abs_coeff() for part in hx[d]) if floating else 0
+        scale = sum(q.homogeneous_part(d).poly.max_abs_coeff()
+                    for f in (hl, ws[0]) for q in f.coords) if floating else 0
         i = 1
         while i * (p - 1 + order) < d:
             if i == len(pows):
@@ -348,14 +346,13 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
                 pows[i] = append_above(pows[i], step, k)
                 if floating:
                     pow_max[i] = max(pow_max[i], step.max_abs_coeff())
-            if i > len(vs):
-                vs = field.flow_coeffs(i, k)
-                if floating:
-                    v_max += [sum(c.max_abs_coeff() for c in v_i.coords) for v_i in vs[len(v_max):]]
-            for coord, v_ij in zip(terms, vs[i - 1].coords):
-                coord.append((minus_inv_fact[i], v_ij, pows[i]))
+            if i == len(ws):
+                ws = field.flow_series(c, i, k)
+            for coord, w_ij in zip(terms, ws[i].coords):
+                coord.append((minus_inv_fact[i], w_ij, pows[i]))
             if floating:
-                scale -= minus_inv_fact[i] * v_max[i - 1] * pow_max[i]
+                w_max += [sum(q.max_abs_coeff() for q in w.coords) for w in ws[len(w_max):]]
+                scale -= minus_inv_fact[i] * w_max[i] * pow_max[i]
             i += 1
         # the degree-d slice of h - Phi(x, sigma), one sum per coordinate
         v = PolyMap([combine_trunc(n, mode, coord, d, d, k) for coord in terms])
@@ -364,16 +361,16 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
             omegas.append(HomogPoly.zero(n, l, FLOAT))
             residuals.append(size)
             continue
-        omegas.append(divide_by_initial_part(v, field.P, l, tol))
+        omegas.append(divide_by_initial_part(v, divisor, l, tol))
         omega = omegas[l].poly
         if mode == EXACT:
-            # the division proved v = P * omega_l: h - Phi(x, sigma + omega_l)
-            # vanishes at degree d
+            # the division proved v = divisor * omega_l: h - Phi(x, sigma +
+            # omega_l) vanishes at degree d
             residuals.append(Fraction(0))
         else:
             # the degree-d slice of h - Phi(x, sigma + omega_l)
             rest = PolyMap([combine_trunc(n, mode, [(1, v_j), (-1, q.poly, omega)], d, d, k)
-                            for v_j, q in zip(v.coords, field.P)])
+                            for v_j, q in zip(v.coords, divisor)])
             residuals.append(rest.max_abs_coeff())
             if d < k and not residuals[-1] <= bound:
                 raise _differs(omegas, l + 1, d, rest)

@@ -434,7 +434,7 @@ def test_residual_verdict_matches_an_independent_residual(quartic_field, mode):
     # degree 1..K (floats of size 1e-10 and 1e-6, either side of the 1e-8
     # bound): whenever recovery returns,
     # residual_ok says whether h - Phi(x, sum omega) lies within the bound,
-    # and for p >= 2 residuals[m - 1] is its largest coefficient at degree m
+    # and residuals[m - 1] is its largest coefficient at degree m
     rng = random.Random(101)
     bound = RESIDUAL_TOL if mode == FLOAT else 0
     fields = [quartic_field, _three_var_p2_field(),
@@ -475,10 +475,9 @@ def test_residual_verdict_matches_an_independent_residual(quartic_field, mode):
         assert res.residual_ok == (diff.max_abs_coeff() <= bound)
         assert len(res.residuals) == k
         assert res.residual_ok == all(r <= bound for r in res.residuals)
-        if p > 1:  # rounding: a few ulps of the jet's coefficients
-            for m, r in enumerate(res.residuals, start=1):
-                want = PolyMap([c.homogeneous_part(m).poly for c in diff.coords]).max_abs_coeff()
-                assert abs(r - want) <= 1e-13 * max(1.0, float(h.max_abs_coeff()))
+        for m, r in enumerate(res.residuals, start=1):  # rounding: a few ulps of h
+            want = PolyMap([c.homogeneous_part(m).poly for c in diff.coords]).max_abs_coeff()
+            assert abs(r - want) <= 1e-13 * max(1.0, float(h.max_abs_coeff()))
         verdicts[res.residual_ok] += 1
     # the draw reaches every verdict the mode has
     assert verdicts[True] and verdicts["refused"] and (mode == EXACT or verdicts[False])
@@ -505,6 +504,28 @@ def test_float_recovery_keeps_zero_components_empty():
     for mono in set(omega_1.terms) | {(1, 0)}:
         want = 1.0 if mono == (1, 0) else 0.0
         assert abs(omega_1.coefficient(mono) - want) <= 4 * math.ulp(1.0)
+
+
+@pytest.mark.parametrize("fx, fy, alpha", [
+    ({(1, 0): -0.85, (2, 0): -1.0}, {(0, 1): 0.68, (0, 2): 1.0}, {(0, 0): 0.8, (1, 0): -0.5, (0, 1): 0.5}),
+    ({(1, 0): -1.0, (1, 1): 1.0}, {(0, 1): 0.5, (0, 2): 1.0}, {(0, 0): 3.0, (1, 0): 1.0, (0, 1): 0.5}),
+    ({(1, 0): -1.0, (1, 1): 1.0}, {(0, 1): 0.5, (1, 1): 1.0}, {(0, 0): -3.0, (1, 0): 1.0, (0, 1): 0.5}),
+    ({(1, 0): -1.0, (0, 2): 1.0}, {(0, 1): 0.5, (2, 0): 1.0}, {(0, 0): 3.0, (1, 0): 1.0, (0, 1): 0.5}),
+], ids=["t=0.8", "xy,y2 t=3", "xy,xy t=-3", "y2,x2 t=3"])
+def test_float_p1_recovery_of_saddle_shifts(fx, fy, alpha):
+    # K = 8, where h reaches 1e2..5e6: each slice is judged on
+    # h - Phi(x, t + sigma) itself, with no composition of h with the time -t
+    # flow whose rounding could leave terms in the omegas that are zero in
+    # truth (l >= 2) or push a slice past the residual tolerance
+    field = VectorFieldJet(PolyMap([MultiPoly(2, fx, FLOAT), MultiPoly(2, fy, FLOAT)]))
+    alpha = MultiPoly(2, alpha, FLOAT)
+    res = recover_shift_jet(field, shift_jet(field, alpha, 8), 8)
+    assert res.residual_ok
+    assert all(not omega.poly.terms for omega in res.omegas[2:])
+    for l, omega in enumerate(res.omegas[:2]):
+        want = alpha.homogeneous_part(l).poly
+        for mono in set(want.terms) | set(omega.poly.terms):
+            assert abs(omega.poly.coefficient(mono) - want.coefficient(mono)) <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-12])
