@@ -13,11 +13,14 @@ it is built only through degree K - ord(w_i o h).  c = 0 gives w_0 = x and
 the cached flow coefficients w_i = v_i; a float shift with p = 1 takes
 c = beta(0), and w_0 is the float time-c flow, which sums the Lie series of
 a time-scaled field in one combine_trunc per coordinate and squares the
-result.  Each Lie step is one application of the field's Lie derivative on
+result.  Each Lie step is one application of a Lie derivative table on
 packed keys (poly.LieDerivative), in both scalar modes: one sum per
 coordinate, over the map's terms in ascending packed order, then j
-ascending, then F_j's terms ascending, keeping every nonzero sum.  The
-shift jet is the hatted shift with h = id, which composes nothing.
+ascending, then F_j's terms ascending, each term c x^m adding c * (m_j * a)
+from the column the table caches for m, and keeping every nonzero sum.  The
+c = 0 list keeps its table with it; a c != 0 list, which is not kept, runs
+on a table of its own that goes with it.  The shift jet is the hatted shift
+with h = id, which composes nothing.
 """
 
 from __future__ import annotations
@@ -66,19 +69,21 @@ class VectorFieldJet:
     def flow_series(self, c, imax, k):
         """[w_0, ..., w_imax] at order k: w_0 = Phi_c, w_{i+1} = (F . grad) w_i.
 
-        Each step is one application of poly.LieDerivative, whose table of
-        F's packed keys and numerators is built once per order k.  At c = 0,
-        w_0 = x and w_i = v_i, and the list is cached per order and extended
-        in place; otherwise (float mode) w_0 = flow_time_jet(c) and the list
-        is not kept.
+        Each step is one application of a poly.LieDerivative table of F's
+        packed keys and numerators, which caches one column per input key.
+        At c = 0, w_0 = x and w_i = v_i, and the list is cached per order
+        with its table and extended in place.  Otherwise (float mode) w_0 =
+        flow_time_jet(c), and the list is not kept, nor is the fresh table
+        it runs on, so its columns do not outlive it.
         """
-        entry = self._series.get(k)
-        if entry is None:
-            entry = self._series[k] = (LieDerivative(self.field, k),
-                                       [PolyMap.identity(self.n, self.mode, k)])
-        lie, ws = entry
         if c != 0:
-            ws = [flow_time_jet(self, c, k)]
+            lie, ws = LieDerivative(self.field, k), [flow_time_jet(self, c, k)]
+        else:
+            entry = self._series.get(k)
+            if entry is None:
+                entry = self._series[k] = (LieDerivative(self.field, k),
+                                           [PolyMap.identity(self.n, self.mode, k)])
+            lie, ws = entry
         while len(ws) <= imax:
             ws.append(PolyMap([lie.apply(q) for q in ws[-1].coords], k))
         return ws[:imax + 1]

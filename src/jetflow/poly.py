@@ -11,11 +11,13 @@ lo..k terms of sum c * a * b with b possibly left out; ``*`` and mul_trunc
 are one-term calls of it.  The one sum outside it is append_above, a + b for
 degree-disjoint operands (every term of b above a's degree), which
 concatenates the two packed forms.  combine_trunc and the Lie derivative of a
-vector field (LieDerivative, one fused step per flow coefficient) run on
-packed graded keys: each exponent tuple becomes one int with the total
-degree in its top field (Monagan and Pearce, "Polynomial division using
-dynamic arrays, heaps, and packed exponent vectors", CASC 2007), so that
-multiplying monomials is one integer addition and truncation one comparison.
+vector field (LieDerivative, one fused step per flow coefficient, which caches
+each input key's column of output positions and scaled coefficients and adds
+it into a list accumulator) run on packed graded keys: each exponent tuple
+becomes one int with the total degree in its top field (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007), so that multiplying monomials is one integer addition
+and truncation one comparison.
 Exact coefficients there are integer numerators over one common denominator,
 so a Fraction is built once per output term.  Float sums keep every nonzero
 sum, in the orders documented at combine_trunc and LieDerivative.  Queries,
@@ -506,11 +508,13 @@ class LieDerivative:
     packed keys minus key(x_j) at k's width, its numerators over one common
     denominator for the whole field (exact mode), and for each degree the
     prefix of terms f with that degree - 1 + deg f <= k.  A term c x^m of p
-    with m_j >= 1 then adds m_j * c * a to the key key(m) + key(f) - key(x_j)
+    with m_j >= 1 then adds c * (m_j * a) to the key key(m) + key(f) - key(x_j)
     for each term a x^f of F_j: packed keys are linear in the exponents, so
-    that sum is the key of m - e_j + f.  Sums run in one dict, p's terms in
-    ascending packed order, then j ascending, then F_j's terms ascending,
-    and every nonzero sum is kept.
+    that sum is the key of m - e_j + f.  The pairs (output, m_j * a) of a key
+    m, j ascending, then F_j's terms ascending, are its column, cached on
+    first use; an output is a position in a registry of the keys reached so
+    far.  A step sums p's terms in ascending packed order, each over its
+    column, into one list indexed by position, and keeps every nonzero sum.
     """
 
     def __init__(self, field, k):
@@ -530,27 +534,42 @@ class LieDerivative:
             # a term of p of degree d meets the terms f with deg f <= k + 1 - d
             by_degree = [pairs[:bisect_right(degrees, k + 1 - d)] for d in range(k + 1)]
             self.rows.append((at, by_degree))
+        self.columns = {}  # key of p -> [(position of the output key, m_j * a), ...]
+        self.positions, self.outputs = {}, []  # output key <-> position
+
+    def _column(self, key):
+        """The column of x^key: (position, m_j * a) over j, then F_j's terms."""
+        d, mask = key >> self.nvars * self.bits, (1 << self.bits) - 1
+        positions, outputs = self.positions, self.outputs
+        column = []
+        for at, by_degree in self.rows:
+            m_j = key >> at & mask
+            if m_j:
+                for offset, a in by_degree[d]:
+                    out = key + offset
+                    o = positions.get(out)
+                    if o is None:
+                        o = positions[out] = len(outputs)
+                        outputs.append(out)
+                    column.append((o, m_j * a))
+        return column
 
     def apply(self, p):
         """j^k((F . grad) p), for p in F's variables and scalar mode."""
         n, bits = self.nvars, self.bits
         if p.nvars != n or p.mode != self.mode:
             raise ValueError(f"the Lie derivative needs {self.mode} polynomials in {n} variables")
-        shift, mask = n * bits, (1 << bits) - 1
         _, keys, values, den = _pack(p, bits)
-        cut = bisect_left(keys, (self.k + 1) << shift)
-        sums = {}
-        get = sums.get
-        for key, c in zip(keys[:cut], values[:cut]):
-            d = key >> shift
-            for at, by_degree in self.rows:
-                m_j = key >> at & mask
-                if m_j:
-                    c_j = m_j * c
-                    for offset, a in by_degree[d]:
-                        out = key + offset
-                        sums[out] = get(out, 0) + c_j * a
-        return _from_sums(n, self.mode, bits, sums, den * self.den)
+        cut = bisect_left(keys, (self.k + 1) << n * bits)
+        keys, columns = keys[:cut], self.columns
+        for key in keys:
+            if key not in columns:
+                columns[key] = self._column(key)
+        acc = [0] * len(self.outputs)
+        for key, c in zip(keys, values):
+            for o, b in columns[key]:
+                acc[o] += c * b
+        return _from_sums(n, self.mode, bits, dict(zip(self.outputs, acc)), den * self.den)
 
 
 def combine_trunc(n, mode, terms, k, lo=0, width=None):

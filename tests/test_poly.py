@@ -7,10 +7,10 @@ import pytest
 from jetflow import VectorFieldJet, poly, recover, recover_shift_jet, shift_jet, verify_residual
 from jetflow.errors import NotDivisibleError
 from jetflow.poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, append_above,
-                          bivariate_homog_gcd, combine_trunc, common_quotient, compose,
-                          divide_exact)
+                          LieDerivative, bivariate_homog_gcd, combine_trunc, common_quotient,
+                          compose, divide_exact)
 
-from conftest import rand_field, rand_poly
+from conftest import rand_field, rand_fraction, rand_poly
 
 
 def V(i, n=2):
@@ -516,3 +516,62 @@ def test_exact_round_trips_build_no_terms_view(monkeypatch, quartic_field):
         built.clear()
         assert verify_residual(f, h, result.omegas, k)
         assert built == []
+
+
+def _lie_cases():
+    """Seeded fields in 1..4 variables, dense and sparse, each at k = 6 and at
+    31, 32 and 33 (the 6 -> 7-bit key widths), with four p's whose terms reach
+    every degree up to k + 1."""
+    rng = random.Random("lie derivative oracle")
+    for n in range(1, 5):
+        for density in (1.0, 0.3):
+            field = PolyMap([rand_poly(rng, n, 3, min_deg=1, density=density, nonzero=True)
+                             for _ in range(n)])
+            for k in (6, 31, 32, 33):
+                ps = []
+                for _ in range(4):
+                    terms = {}
+                    for _ in range(12):
+                        d = rng.randint(0, k + 1)
+                        cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+                        terms[tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))] = (
+                            rand_fraction(rng) or 1)
+                    ps.append(MultiPoly(n, terms))
+                yield field, k, ps
+
+
+def _lie_oracle(field, p, k):
+    """j^k of sum_j F_j dp/dx_j, as one combine_trunc."""
+    return combine_trunc(p.nvars, EXACT, [(1, f, p.partial(j)) for j, f in enumerate(field.coords)],
+                         k)
+
+
+def test_the_lie_derivative_is_the_sum_of_each_coordinate_times_its_partial():
+    for field, k, ps in _lie_cases():
+        lie, float_lie = LieDerivative(field, k), LieDerivative(field.to_float(), k)
+        sizes = []
+        for p in ps:
+            want = _lie_oracle(field, p, k)
+            assert poly._pack(lie.apply(p)) == poly._pack(want)
+            sizes.append(len(lie.outputs))
+            got, want = float_lie.apply(p.to_float()), want.to_float()
+            tol = 1e-15 * want.max_abs_coeff()
+            assert all(abs(got.coefficient(m) - want.coefficient(m)) <= tol
+                       for m in set(got.terms) | set(want.terms))
+        # later p's reach keys that no earlier one did (in one variable at k = 6
+        # the first p reaches them all), and the table grows; the first p's
+        # columns still serve it after that growth
+        assert sizes == sorted(sizes) and (sizes[-1] > sizes[0] or (field.nvars, k) == (1, 6))
+        assert poly._pack(lie.apply(ps[0])) == poly._pack(_lie_oracle(field, ps[0], k))
+
+
+def test_a_float_lie_derivative_keeps_nan_and_drops_an_exact_cancellation():
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    saddle = LieDerivative(PolyMap([x, y.scale(-1.0)]), 4)
+    # (x d/dx - y d/dy)(xy + x) = xy - xy + x
+    assert _bits(saddle.apply(x * y + x)) == {(1, 0): repr(1.0)}
+    got = saddle.apply(MultiPoly(2, {(2, 0): math.nan, (0, 1): 0.5}, FLOAT))
+    assert math.isnan(got.coefficient((2, 0))) and _bits(got)[(0, 1)] == repr(-0.5)
+    # a term c x^m meets a x^f of F_j as c * (m_j * a)
+    one = LieDerivative(PolyMap([MultiPoly(1, {(1,): 0.7}, FLOAT)]), 4)
+    assert _bits(one.apply(MultiPoly(1, {(3,): 0.1}, FLOAT))) == {(3,): repr(0.1 * (3 * 0.7))}

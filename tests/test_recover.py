@@ -555,14 +555,21 @@ def test_float_recovery_refuses_a_perturbed_coefficient(d, j):
         recover_shift_jet(field, broken, 20)
 
 
-def _exact_round_trip_cases(quartic_field):
-    rng = random.Random("exact digest")
+def _dense_drawer(seed):
+    """dense(nvars, degrees): every monomial of those degrees, with seeded
+    coefficients from a small menu of signed rationals."""
+    rng = random.Random(seed)
     menu = [Fraction(s * a, b) for s in (1, -1) for a, b in ((1, 1), (2, 1), (1, 2), (3, 2))]
 
     def dense(nvars, degrees):
         return MultiPoly(nvars, {m: rng.choice(menu) for d in degrees
                                  for m in monomials_of_degree(nvars, d)})
 
+    return dense
+
+
+def _exact_round_trip_cases(quartic_field):
+    dense = _dense_drawer("exact digest")
     cases = [(quartic_field, dense(2, range(4)), k)
              for k in (10, 14, 18) for _ in range(6)]
     for _ in range(2):
@@ -585,3 +592,33 @@ def test_exact_round_trips_match_their_pinned_digest(quartic_field):
                             [sorted_terms(omega.poly) for omega in res.omegas],
                             [Fraction(r) for r in res.residuals], res.residual_ok]).encode())
     assert digest.hexdigest()[:16] == "9985a0dcf0a4e131"
+
+
+def _exact_round_trip_family(quartic_field, family):
+    dense = _dense_drawer(f"exact round trips/{family}")
+    if family == "quartic":
+        return [(quartic_field, dense(2, range(4)), k) for k in (10, 14, 18) for _ in range(8)]
+    cases = []
+    for _ in range(4):
+        field = VectorFieldJet(PolyMap([dense(3, (2, 3)) for _ in range(3)]))
+        cases += [(field, dense(3, range(3)), k) for k in (6, 8) for _ in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("family, prefix", [("quartic", "5058facccc6a2353"),
+                                            ("dense-3var-p2", "516af884af1d196a")],
+                         ids=["quartic", "dense-3var-p2"])
+def test_exact_round_trip_families_match_their_pinned_digests(quartic_field, family, prefix):
+    # one digest per family, so that a change to exact outputs names the
+    # family it reaches: h, every omega, the residuals and the verdict
+    def sorted_terms(p):
+        return sorted((mono, Fraction(c)) for mono, c in p.terms.items())
+
+    digest = hashlib.sha256()
+    for field, alpha, k in _exact_round_trip_family(quartic_field, family):
+        h = shift_jet(field, alpha, k)
+        res = recover_shift_jet(field, h, k)
+        digest.update(repr([[sorted_terms(c) for c in h.coords],
+                            [sorted_terms(omega.poly) for omega in res.omegas],
+                            [Fraction(r) for r in res.residuals], res.residual_ok]).encode())
+    assert digest.hexdigest()[:16] == prefix
