@@ -11,16 +11,17 @@ a flow commutes with its own Lie derivative), one poly.combine_trunc per
 coordinate over the terms (1/i!, w_i o h, b^i).  b^i meets only w_i o h, so
 it is built only through degree K - ord(w_i o h).  c = 0 gives w_0 = x and
 the cached flow coefficients w_i = v_i; a float shift with p = 1 takes
-c = beta(0), and w_0 is the float time-c flow, which sums the Lie series of
-a time-scaled field in one combine_trunc per coordinate and squares the
-result.  Each Lie step is one application of a Lie derivative table on
-packed keys (poly.LieDerivative), in both scalar modes: one sum per
-coordinate, over the map's terms in ascending packed order, then j
-ascending, then F_j's terms ascending, each term c x^m adding c * (m_j * a)
-from the column the table caches for m, and keeping every nonzero sum.  The
-c = 0 list keeps its table with it; a c != 0 list, which is not kept, runs
-on a table of its own that goes with it.  The shift jet is the hatted shift
-with h = id, which composes nothing.
+c = beta(0), and w_0 is the float time-c flow, which steps the Lie series
+of a time-scaled field in place over one closed column table, adds each
+term into a running sum per coordinate, and squares the result.  Each Lie
+step is one application of a Lie derivative table on packed keys
+(poly.LieDerivative), in both scalar modes: one sum per coordinate, over the
+map's terms in ascending packed order, then j ascending, then F_j's terms
+ascending, each term c x^m adding c * (m_j * a) from the column the table
+caches for m, and keeping every nonzero sum.  The c = 0 list keeps its
+table with it; a c != 0 list, which is not kept, runs on a table of its own
+that goes with it.  The shift jet is the hatted shift with h = id, which
+composes nothing.
 """
 
 from __future__ import annotations
@@ -235,30 +236,37 @@ def hatted_shift_jet(field, h, beta, k):
 _SERIES_RADIUS = 16.0
 
 
-def _largest(coords, c):
-    """The largest |coefficient| of a float jet; raises when one is not finite."""
-    size = PolyMap(coords).max_abs_coeff()
-    if not math.isfinite(size):
+def _largest(values, c):
+    """The largest |value| of floats; raises when one is not finite."""
+    values = list(values)
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"flow integration blew up before time {c}")
-    return size
+    return max(map(abs, values), default=0.0)
 
 
 def flow_time_jet(field, c, k):
     """j^K of the time-c flow map, by scaling and squaring the Lie series.
 
     Float mode only.  Phi_s, the flow of F at time s = c / 2^m, is
-    x + sum_i t_i / i! with t_i = (sF . grad)^i x: each term is one step of
-    a poly.LieDerivative of sF from the last, and each coordinate is summed
-    by one combine_trunc over the pairs (1/i!, t_i).  m is the fewest
-    halvings that bring |s| * K * max|F| to at most 16; the group law
-    Phi_2s = Phi_s o Phi_s is then applied m times.  The sum stops at the
+    x + sum_i t_i / i! with t_i = (sF . grad)^i x.  The keys reachable from
+    x_1..x_n through the columns of a poly.LieDerivative of sF are closed
+    once into one ascending table (LieDerivative.closure), and each term is
+    one list per coordinate over it: a step adds c * b over the column of
+    each nonzero entry c in ascending key order, which is apply's order, so
+    every float sum is the one apply forms.  Each term's nonzero entries,
+    times 1/i!, are added into a running sum per coordinate in order of i,
+    combine_trunc's order for the pairs (1, x_j), (1/i!, t_ij); the n
+    polynomials are built once, at K's key width, after the last term.  m is
+    the fewest halvings that bring |s| * K * max|F| to at most 16; the group
+    law Phi_2s = Phi_s o Phi_s is then applied m times.  The sum stops at the
     first term past index |s| * K * max|F| whose coefficients all lie below
     2^-53 times the largest coefficient of the partial sum.  Each term's
-    largest coefficient is read from its packed form and held against a bar,
-    the largest of 1 (the identity's) and the earlier terms'; the partial sum
-    is formed only where a term passes the bar, to confirm the stop, and a
-    partial sum that refutes it becomes the bar.  Every term, and the result
-    of every squaring, is checked to be finite.
+    largest coefficient is held against a bar, the largest of 1 (the
+    identity's) and the earlier terms'; the partial sum's largest
+    coefficient is read only where a term passes the bar, to confirm the
+    stop, and a partial sum that refutes it becomes the bar.  Every term,
+    the partial sum where it is read, and the result of every squaring are
+    checked to be finite.
     """
     if field.mode != FLOAT:
         raise ValueError("flow_time_jet is available in float mode only")
@@ -271,25 +279,32 @@ def flow_time_jet(field, c, k):
         m += 1
     s = math.ldexp(c, -m)
     lie = LieDerivative(PolyMap([p.scale(s) for p in field.field.coords]), k)
-    term = PolyMap.identity(field.n, FLOAT, k).coords
-    sums = [[(1.0, x)] for x in term]
+    keys, columns, term = lie.closure(PolyMap.identity(field.n, FLOAT, k).coords)
+    total = [row[:] for row in term]
     inv_fact = bar = 1.0
     for i in itertools.count(1):
         inv_fact /= i
-        term = [lie.apply(p) for p in term]
-        size = _largest(term, c) * inv_fact
-        for pairs, t in zip(sums, term):
-            pairs.append((inv_fact, t))
+        steps = []
+        for row in term:
+            step = [0.0] * len(keys)
+            for a, column in zip(row, columns):
+                if a:
+                    for o, b in column:
+                        step[o] += a * b
+            steps.append(step)
+        term = steps
+        size = _largest(itertools.chain(*term), c) * inv_fact
+        total = [[a + inv_fact * v if v else a for a, v in zip(acc, row)]
+                 for acc, row in zip(total, term)]
         if i >= abs(s) * rate and size <= 2.0 ** -53 * bar:
-            flow = [combine_trunc(field.n, FLOAT, pairs, k) for pairs in sums]
-            bar = _largest(flow, c)
+            bar = _largest(itertools.chain(*total), c)
             if size <= 2.0 ** -53 * bar:
                 break
         bar = max(bar, size)
-    flow = PolyMap(flow, k)
+    flow = PolyMap(lie.polys(keys, total), k)
     for _ in range(m):
         flow = compose(flow, flow, k)
-        _largest(flow.coords, c)
+        _largest(map(MultiPoly.max_abs_coeff, flow.coords), c)
     return flow
 
 

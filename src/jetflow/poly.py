@@ -571,6 +571,50 @@ class LieDerivative:
                 acc[o] += c * b
         return _from_sums(n, self.mode, bits, dict(zip(self.outputs, acc)), den * self.den)
 
+    def closure(self, ps):
+        """The closed table of a series that steps ps by this derivative.
+
+        Returns the packed keys reachable from ps's terms of degree <= k
+        through their columns, ascending; each key's column, with its
+        outputs as positions in that list; and each p's values over those
+        keys, 0 where p has no term (exact values are numerators over p's
+        denominator).  Summing a row's nonzero entries in position order,
+        each over its column, is then what apply sums, in apply's order.
+        """
+        n, bits = self.nvars, self.bits
+        if any(p.nvars != n or p.mode != self.mode for p in ps):
+            raise ValueError(f"the Lie derivative needs {self.mode} polynomials in {n} variables")
+        top = (self.k + 1) << n * bits
+        packs = [_pack(p, bits) for p in ps]
+        columns, outputs = self.columns, self.outputs
+        todo = [key for _, keys, _, _ in packs for key in keys if key < top]
+        reached = set(todo)
+        while todo:
+            key = todo.pop()
+            if key not in columns:
+                columns[key] = self._column(key)
+            for o, _ in columns[key]:
+                if outputs[o] not in reached:
+                    reached.add(outputs[o])
+                    todo.append(outputs[o])
+        keys = sorted(reached)
+        index = {key: q for q, key in enumerate(keys)}
+        rows = []
+        for _, pkeys, values, _ in packs:
+            row = [0] * len(keys)
+            for key, v in zip(pkeys, values):
+                if key < top:
+                    row[index[key]] = v
+            rows.append(row)
+        return keys, [[(index[outputs[o]], b) for o, b in columns[key]] for key in keys], rows
+
+    def polys(self, keys, rows):
+        """The polynomials whose coefficients over the sorted packed keys are
+        rows of floats (or integers), packed at k's width; zeros are left out."""
+        return [_from_packed(self.nvars, self.mode, self.bits,
+                             [key for key, v in zip(keys, row) if v], [v for v in row if v], 1)
+                for row in rows]
+
 
 def combine_trunc(n, mode, terms, k, lo=0, width=None):
     """The terms of degree lo..k of sum(c * a * b for c, a, b in terms), where

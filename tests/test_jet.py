@@ -11,7 +11,7 @@ from jetflow.jet import (BiJet, VectorFieldJet, bidegree_truncate, flow_bijet,
                          flow_taylor_coeffs, flow_time_jet, hatted_shift_jet,
                          jet_inverse, shift_jet)
 from jetflow.linalg import RatMatrix
-from jetflow.poly import EXACT, FLOAT, MultiPoly, PolyMap, compose
+from jetflow.poly import EXACT, FLOAT, LieDerivative, MultiPoly, PolyMap, combine_trunc, compose
 
 from conftest import rand_field, rand_poly
 
@@ -319,6 +319,103 @@ def test_flow_time_jet_closed_form():
     for terms, coord in zip(want, out.coords):
         for mono in set(terms) | set(coord.terms):
             assert abs(coord.coefficient(mono) - terms.get(mono, 0.0)) < 1e-14, mono
+
+
+def _float_field(seed, n, p, density):
+    """A seeded float field of flat order p in n variables, of degree <= p + 2."""
+    rng = random.Random(f"{seed}/{n}/{p}/{density}")
+    while True:
+        coords = [rand_poly(rng, n, p + 2, min_deg=p, density=density, mode=FLOAT)
+                  for _ in range(n)]
+        if any(not c.homogeneous_part(p).is_zero() for c in coords):
+            return VectorFieldJet(PolyMap(coords))
+
+
+def _term_by_term_flow(field, c, k):
+    """The time-c flow summed term by term: each term of the Lie series of sF
+    one LieDerivative.apply per coordinate, the coordinates summed by one
+    combine_trunc each, with flow_time_jet's halvings, stop rule and squarings."""
+    def largest(coords):
+        size = PolyMap(coords).max_abs_coeff()
+        if not math.isfinite(size):
+            raise ValueError(f"flow integration blew up before time {c}")
+        return size
+
+    rate = k * field.field.max_abs_coeff()
+    m = 0
+    while abs(math.ldexp(c, -m)) * rate > 16.0:
+        m += 1
+    s = math.ldexp(c, -m)
+    lie = LieDerivative(PolyMap([p.scale(s) for p in field.field.coords]), k)
+    term = PolyMap.identity(field.n, FLOAT, k).coords
+    sums = [[(1.0, x)] for x in term]
+    inv_fact = bar = 1.0
+    for i in itertools.count(1):
+        inv_fact /= i
+        term = [lie.apply(p) for p in term]
+        size = largest(term) * inv_fact
+        for pairs, t in zip(sums, term):
+            pairs.append((inv_fact, t))
+        if i >= abs(s) * rate and size <= 2.0 ** -53 * bar:
+            flow = [combine_trunc(field.n, FLOAT, pairs, k) for pairs in sums]
+            bar = largest(flow)
+            if size <= 2.0 ** -53 * bar:
+                break
+        bar = max(bar, size)
+    flow = PolyMap(flow, k)
+    for _ in range(m):
+        flow = compose(flow, flow, k)
+        largest(flow.coords)
+    return flow
+
+
+@pytest.mark.parametrize("n, p, density", [(n, p, d) for n in (1, 2, 3) for p in (1, 2)
+                                           for d in (1.0, 0.3)])
+def test_flow_time_jet_is_bitwise_the_term_by_term_sum(n, p, density):
+    field = _float_field(5, n, p, density)
+    ks = (0, 1, 2, 5, 8) + ((31, 32, 33) if n == 1 else ())
+    squared = 0
+    for k in ks:
+        for c in (0.3, -0.3, 1.0, -1.0, 3.0, -5.0):
+            got, want = flow_time_jet(field, c, k), _term_by_term_flow(field, c, k)
+            assert all(a == b for a, b in zip(got.coords, want.coords)), (k, c)
+            squared += abs(c) * k * float(field.field.max_abs_coeff()) > 16
+    assert squared
+
+
+def test_flow_time_jet_blows_up_as_the_term_by_term_sum():
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    field = VectorFieldJet(PolyMap([x.scale(100.0) + y * y, y.scale(-3.0)]))
+    with pytest.raises(ValueError, match="blew up") as got:
+        flow_time_jet(field, 10.0, 3)
+    with pytest.raises(ValueError, match="blew up") as want:
+        _term_by_term_flow(field, 10.0, 3)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_float_flow_keeps_the_group_law(p):
+    # Phi_a o Phi_b = Phi_(a+b) and Phi_-c o Phi_c = id, to rounding on the
+    # scale of the flows composed; times on both sides of the squaring
+    # threshold |c| * K * max|F| = 16
+    squares = set()
+    for n, density in ((1, 1.0), (2, 1.0), (2, 0.5), (3, 0.5)):
+        field = _float_field(7, n, p, density)
+        rate = float(field.field.max_abs_coeff())
+        for k in (1, 3, 6):
+            ident = PolyMap.identity(n, FLOAT, k)
+            for a, b in ((0.2, -0.3), (0.2, 0.9), (-1.5, 0.9), (1.5, -0.3)):
+                flows = [flow_time_jet(field, t, k) for t in (a, b, a + b)]
+                after = compose(flows[0], flows[1], k)
+                size = max(f.max_abs_coeff() for f in flows)
+                assert (after - flows[2]).max_abs_coeff() <= 1e-12 * size, (n, k, a, b)
+                squares.update(abs(t) * k * rate > 16 for t in (a, b, a + b))
+            for c in (0.2, -0.9, 1.5):
+                flows = [flow_time_jet(field, t, k) for t in (-c, c)]
+                size = max(f.max_abs_coeff() for f in flows)
+                back = compose(flows[0], flows[1], k)
+                assert (back - ident).max_abs_coeff() <= 1e-12 * size, (n, k, c)
+    assert squares == {False, True}
 
 
 def test_jet_inverse_examples():
