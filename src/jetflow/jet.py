@@ -322,13 +322,10 @@ def jet_inverse(h, k):
     if h.mode == EXACT:
         a_inv = RatMatrix(rows).inverse().rows
     else:
-        import numpy as np
+        from .floatlinalg import inverse
 
-        mat = np.array(rows, dtype=float)
-        # matrix_rank's tolerance scales with the matrix: 1e-5 * I is invertible
-        if np.linalg.matrix_rank(mat) < n:
-            raise ValueError("matrix is singular")
-        a_inv = np.linalg.inv(mat).tolist()
+        # the rank test scales with the matrix: 1e-5 * I is invertible
+        a_inv = inverse(rows)
     g = PolyMap.linear(a_inv, h.mode, k)
     ident = PolyMap.identity(n, h.mode)
     for order in range(2, k + 1):

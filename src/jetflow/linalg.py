@@ -2,7 +2,7 @@
 
 Provides the square RatMatrix type (determinant, inverse, powers) plus
 rectangular solvers (RREF, nullspace, exact solve) and minimal polynomials,
-all over exact rationals.  Float-mode callers convert to numpy themselves.
+all over exact rationals.  Float-mode steps use jetflow.floatlinalg.
 """
 
 from __future__ import annotations

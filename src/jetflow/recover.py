@@ -12,7 +12,9 @@ composed with h.  With sigma_{l-1} the omegas found so far, every slice of
 h - Phi(x, c + sigma_{l-1}) below degree p + l must vanish, and the
 degree-(p+l) slice must factor as D omega_l, D the degree-p slice of w_1
 (the initial part P at c = 0): in exact mode omega_l is the common quotient
-(poly.common_quotient), in float mode a least-squares solution.
+(poly.common_quotient), in float mode a least-squares solution.  Float
+mode's matrix steps, here and in delta0_linear, run on floatlinalg's
+plain-Python linear algebra.
 
 The sum is evaluated online, in the manner of relaxed power series (van der
 Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002): each
@@ -40,11 +42,12 @@ taken once per operand as read or per slice appended to sigma^i.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import itertools
 import math
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from . import config
 from .errors import InconsistentJetError, NotDivisibleError, NotOnSubgroupError
@@ -91,8 +94,10 @@ def divide_by_initial_part(v, p_vec, l=None, tol=None):
     passes the degree-p slice of w_1).  Exact mode takes omega as the common
     quotient of v by P (poly.common_quotient: one exact division, the other
     coordinates checked by multiplying back).  Float mode solves the stacked
-    linear system in omega's coefficients by least squares and checks the
-    residual.  Raises InconsistentJetError when v is not of the form
+    linear system in omega's coefficients by least squares (Householder QR
+    with column pivoting, floatlinalg.least_squares) and checks the
+    residual; a system of numerical rank below omega's term count raises
+    RuntimeError.  Raises InconsistentJetError when v is not of the form
     P * omega.
     """
     v_polys = _coord_polys(v)
@@ -124,29 +129,30 @@ def divide_by_initial_part(v, p_vec, l=None, tol=None):
                 order=l, residual=PolyMap(v_polys)) from None
         return HomogPoly(omega, l)
 
-    import numpy as np
+    from .floatlinalg import least_squares, max_abs
 
     unknowns = monomials_of_degree(nvars, l)
     targets = monomials_of_degree(nvars, p_deg + l)
     target_index = {m: i for i, m in enumerate(targets)}
-    a = np.zeros((len(p_polys) * len(targets), len(unknowns)))
+    a = [[0.0] * len(unknowns) for _ in range(len(p_polys) * len(targets))]
     for block, p_i in enumerate(p_polys):
         offset = block * len(targets)
         for mono_p, c in p_i.terms.items():
             for u_idx, mono_u in enumerate(unknowns):
-                a[offset + target_index[tuple(map(add, mono_p, mono_u))], u_idx] += c
-    b = np.array([v_i.coefficient(m) for v_i in v_polys for m in targets], dtype=float)
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < len(unknowns):
+                a[offset + target_index[tuple(map(add, mono_p, mono_u))]][u_idx] += c
+    b = [float(v_i.coefficient(m)) for v_i in v_polys for m in targets]
+    sol = least_squares(a, [b])
+    if sol is None:
         raise RuntimeError("initial-part division produced a parametric family; P must be zero")
-    bound = config.residual_tol(tol) * max(1.0, float(np.max(np.abs(b))))
-    resid = float(np.max(np.abs(a @ sol - b)))
+    sol = sol[0]
+    bound = config.residual_tol(tol) * max(1.0, max_abs(b))
+    resid = max_abs(sum(map(mul, row, sol)) - b_i for row, b_i in zip(a, b))
     if not resid <= bound:  # a NaN residual is refused too
         raise InconsistentJetError(
             f"jet slice of degree {p_deg + l} is not P * omega "
             f"(float residual {resid:.3e} > {bound:.3e})",
             order=l, residual=resid)
-    omega = MultiPoly(nvars, dict(zip(unknowns, sol.tolist())), FLOAT)
+    omega = MultiPoly(nvars, dict(zip(unknowns, sol)), FLOAT)
     return HomogPoly(omega, l)
 
 
@@ -165,90 +171,121 @@ def _branches(base, step, n):
 def delta0_linear(a, l_mat, tol=None):
     """Time t with ||e^{Lt} - A||_F <= tol * max(1, ||A||_F), preferring the smallest |t|.
 
-    Newton starts come from the Schur form L = Q T Q^H: A = e^{Lt} makes
-    B = Q^H A Q triangular with B_jj = e^{lambda_j t}, so t = ln|B_jj| / Re
-    lambda_j, or t = (arg B_jj + 2 pi k) / Im lambda_j when Re lambda_j = 0,
-    for the k that keep |t| <= config.DELTA0_WINDOW (only k = 0 when
-    e^{L 2 pi / Im lambda_j} = I).  The eigenvalue with the fewest starts is
-    used, and among single ones the largest |B_jj Re lambda_j|, which
-    rounding hurts least; a nilpotent L starts from <L, A - I>_F / ||L||_F^2.
-    Each start, in order of |t|, is polished by 1-D Newton on
-    t -> ||e^{Lt} - A||_F^2, and the first within the tolerance and the
-    window is returned.  Raises NotOnSubgroupError, carrying the closest
-    polished t and its distance, when none is.  For |t| <= DELTA0_WINDOW = W,
-    ||e^{Lt} - A||_F is at least sqrt(sum_j max(0, ||B_jj| - 1| -
-    expm1(W |Re lambda_j|))^2); when that floor exceeds the tolerance, only
-    the first start is polished before the error is raised.
-    """
-    import numpy as np
-    from scipy.linalg import expm, schur
+    Newton starts come from the complex Schur form L = Q T Q^H
+    (floatlinalg.schur): A = e^{Lt} makes B = Q^H A Q triangular with B_jj =
+    e^{lambda_j t}, so t = ln|B_jj| / Re lambda_j, or t = (arg B_jj + 2 pi k) /
+    Im lambda_j when Re lambda_j = 0, for the k that keep |t| <=
+    config.DELTA0_WINDOW (only k = 0 when e^{L 2 pi / Im lambda_j} = I).  The
+    eigenvalue with the fewest starts is used, and among single ones the
+    largest |B_jj Re lambda_j|, which rounding hurts least.  A nilpotent L
+    makes A unipotent, and its start is <L, log A>_F / ||L||_F^2 with log A
+    the finite series sum_{k<n} (-1)^(k+1) (A - I)^k / k.  Each start, in
+    order of |t|, is polished by 1-D Newton on t -> ||e^{Lt} - A||_F^2, and the
+    first within the tolerance and the window is returned.  Raises
+    NotOnSubgroupError, carrying the closest polished t and its distance,
+    when none is.  For |t| <= DELTA0_WINDOW = W, ||e^{Lt} - A||_F is at least
+    sqrt(sum_j max(0, ||B_jj| - 1| - expm1(W |Re lambda_j|))^2); when that
+    floor exceeds the tolerance, only the first start is polished before
+    the error is raised.
 
-    a_mat = np.array(_as_float_rows(a), dtype=float)
-    l_arr = np.array(_as_float_rows(l_mat), dtype=float)
-    if not np.any(l_arr):
+    Newton runs in the Schur basis, where ||e^{Lt} - A||_F = ||e^{Tt} - B||_F
+    and e^{Tt} is triangular (floatlinalg.expm_upper), with entries only
+    where T has a path of nonzero entries: a diagonal T, as a normal L often
+    gives, makes e^{Tt} the exponentials of its diagonal.  Each start takes
+    one e^{Tt}, and a Newton step s advances it to e^{Ts} e^{Tt}.
+    """
+    from .floatlinalg import expm_upper, log_unipotent, matmul, norm, schur, upper_mul
+
+    a_rows = _as_float_rows(a)
+    l_rows = _as_float_rows(l_mat)
+    if not any(map(any, l_rows)):
         raise ValueError("L must be nonzero")
     tol = config.delta0_tol(tol)
-    bound = tol * max(1.0, float(np.linalg.norm(a_mat)))
+    bound = tol * max(1.0, norm(a_rows))
     window = config.DELTA0_WINDOW
+    n = len(l_rows)
+
+    dense, q = schur(l_rows)
+    tri = [{j: z for j, z in enumerate(row) if z} for row in dense]
+    b = matmul(matmul([[z.conjugate() for z in col] for col in zip(*q)], a_rows), q)
+    scale = norm(l_rows)
+    key, starts, floor = None, None, 0.0
+    for j in range(n):
+        lam, mu = dense[j][j], b[j][j]
+        if cmath.isfinite(mu):
+            # |t| <= window keeps |e^{lambda t}| within expm1(window |Re lambda|) of 1
+            reach = window * abs(lam.real)
+            gap = max(0.0, abs(abs(mu) - 1) - (math.expm1(reach) if reach < 709 else math.inf))
+            floor += gap * gap
+        # below 1e-10 ||L||_F an eigenvalue, and below 1e-10 |lambda| a
+        # real part, is zero up to rounding
+        if abs(lam) <= 1e-10 * scale or not cmath.isfinite(mu):
+            continue
+        if abs(lam.real) > 1e-10 * abs(lam):
+            ts = [(math.log(abs(mu)) if mu else -math.inf) / lam.real]
+            lam_key = (1, -abs(mu * lam.real))
+        else:
+            period = 2 * math.pi / abs(lam.imag)
+            base = cmath.phase(mu) / lam.imag  # the branch nearest 0
+            count = math.floor((window - base) / period) + math.floor((window + base) / period) + 1
+            # when e^{L period} = I every branch gives the same matrix
+            turn = expm_upper(tri, period)
+            if norm([[row.get(j, 0) - (i == j) for j in range(n)]
+                     for i, row in enumerate(turn)]) <= tol:
+                count = min(count, 1)
+            ts, lam_key = _branches(base, -period if base >= 0 else period, count), (count, 0.0)
+        if key is None or lam_key < key:
+            key, starts = lam_key, ts
+    if key is None:
+        # L is nilpotent, so A = e^{Lt} is unipotent and log A = tL
+        log_a = log_unipotent(a_rows)
+        starts = [sum(map(mul, itertools.chain(*l_rows), itertools.chain(*log_a))) / scale / scale]
+    if math.sqrt(floor) > bound:
+        # no t in the window comes close enough: the first start names the closest
+        starts = itertools.islice(starts, 1)
+
+    def minus_b(x):
+        return [[row.get(j, 0) - v for j, v in enumerate(b_row)] for row, b_row in zip(x, b)]
+
+    def distance(d, u):
+        # ||d||_F at time u, infinite outside the window
+        dist = norm(d)
+        return dist if abs(u) <= window and math.isfinite(dist) else math.inf
+
+    def inner(x, d):
+        # Re <x, d>_F over the entries of x
+        return sum((z.conjugate() * d_row[j]).real
+                   for row, d_row in zip(x, d) for j, z in row.items())
 
     best_t, best_dist = None, None
-    with np.errstate(all="ignore"):
-        tri, q = schur(l_arr, output="complex")
-        scale = np.linalg.norm(l_arr)
-        key, starts = None, [np.sum(l_arr * (a_mat - np.eye(len(l_arr)))) / scale ** 2]
-        floor = 0.0
-        for lam, mu in zip(np.diag(tri), np.diag(q.conj().T @ a_mat @ q)):
-            if np.isfinite(mu):
-                # |t| <= window keeps |e^{lambda t}| within expm1(window |Re lambda|) of 1
-                floor += max(0.0, abs(abs(mu) - 1) - np.expm1(window * abs(lam.real))) ** 2
-            # below 1e-10 ||L||_F an eigenvalue, and below 1e-10 |lambda| a
-            # real part, is zero up to rounding
-            if abs(lam) <= 1e-10 * scale or not np.isfinite(mu):
-                continue
-            if abs(lam.real) > 1e-10 * abs(lam):
-                ts, lam_key = [np.log(abs(mu)) / lam.real], (1, -abs(mu * lam.real))
-            else:
-                period = 2 * np.pi / abs(lam.imag)
-                base = np.angle(mu) / lam.imag  # the branch nearest 0
-                n = int(np.floor((window - base) / period) + np.floor((window + base) / period) + 1)
-                # when e^{L period} = I every branch gives the same matrix
-                if np.linalg.norm(expm(l_arr * period) - np.eye(len(l_arr))) <= tol:
-                    n = min(n, 1)
-                ts, lam_key = _branches(base, -period if base >= 0 else period, n), (n, 0.0)
-            if key is None or lam_key < key:
-                key, starts = lam_key, ts
-        if math.sqrt(floor) > bound:
-            # no t in the window comes close enough: the first start names the closest
-            starts = itertools.islice(starts, 1)
-
-        def distance(u):
-            dist = float(np.linalg.norm(expm(l_arr * u) - a_mat))
-            return dist if abs(u) <= window and np.isfinite(dist) else math.inf
-
-        for start in map(float, starts):
-            t = start
-            for _ in range(80):
-                e = expm(l_arr * t)
-                d = e - a_mat
-                le = l_arr @ e
-                grad = 2.0 * float(np.sum(le * d))
-                hess = 2.0 * float(np.sum(le * le)) + 2.0 * float(np.sum((l_arr @ le) * d))
-                if not np.isfinite(grad) or not np.isfinite(hess) or hess <= 0:
-                    break
-                step = -grad / hess
-                t += step
-                if abs(step) < 1e-15 * max(1.0, abs(t)):
-                    break
-            # Newton can run toward t -> -inf from a start that already lies
-            # within the bound (an A near the zero matrix): keep the better.
-            dist, t = min((distance(t), t), (distance(start), start), key=itemgetter(0))
-            if dist == math.inf:
-                continue
-            if dist <= bound:
-                return t
-            # distances within the tolerance of each other tie; the smaller |t| wins
-            if best_dist is None or dist < best_dist - bound:
-                best_t, best_dist = t, dist
+    for start in map(float, starts):
+        t = start
+        x = expm_upper(tri, t)
+        d = minus_b(x)
+        first = distance(d, t)
+        for _ in range(80):
+            tx = upper_mul(tri, x)
+            grad = 2.0 * inner(tx, d)
+            hess = 2.0 * sum((z.conjugate() * z).real for row in tx for z in row.values())
+            hess += 2.0 * inner(upper_mul(tri, tx), d)
+            if not math.isfinite(grad) or not math.isfinite(hess) or hess <= 0:
+                break
+            step = -grad / hess
+            t += step
+            x = upper_mul(x, expm_upper(tri, step))
+            d = minus_b(x)
+            if abs(step) < 1e-15 * max(1.0, abs(t)):
+                break
+        # Newton can run toward t -> -inf from a start that already lies
+        # within the bound (an A near the zero matrix): keep the better.
+        dist, t = min((distance(d, t), t), (first, start), key=itemgetter(0))
+        if dist == math.inf:
+            continue
+        if dist <= bound:
+            return t
+        # distances within the tolerance of each other tie; the smaller |t| wins
+        if best_dist is None or dist < best_dist - bound:
+            best_t, best_dist = t, dist
     raise NotOnSubgroupError(
         f"no t with |t| <= {window} puts e^(Lt) within {bound:.3g} of the target matrix",
         best_t, best_dist)

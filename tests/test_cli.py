@@ -204,6 +204,24 @@ def test_cli_float_shift_jet_imports_neither_numpy_nor_scipy():
     assert out.splitlines()[-1] == "0 []"
 
 
+@pytest.mark.parametrize("argv, floatlinalg", [
+    (["recover", "-F", "-x, -2*y", "-h", "1/2*x, 1/4*y", "-K", "2", "--float"], True),
+    (["recover", "-F", "x^2", "-h", "x+x^3+x^5", "-K", "5", "--float"], True),
+    (["shift-jet", "-F", "-x+y^2, -2*y", "-a", "1/2", "-K", "3", "--float"], False),
+], ids=["recover-float-p1", "recover-float-p2", "shift-jet-float"])
+def test_cli_cold_float_command_imports_neither_numpy_nor_scipy(argv, floatlinalg):
+    # delta0_linear (p = 1) and the float division of omega_1 by P = x^2
+    # (p = 2) run on jetflow.floatlinalg, in plain Python; the float shift
+    # pipeline does not load that module at all
+    script = (
+        "import sys\n"
+        "from jetflow import cli\n"
+        f"code = cli.run({argv + ['--json']!r})\n"
+        "print(code, sorted({'numpy', 'scipy'} & set(sys.modules)),"
+        " 'jetflow.floatlinalg' in sys.modules)\n")
+    assert fresh_python(script).splitlines()[-1] == f"0 [] {floatlinalg}"
+
+
 _SHIFT_JET_NEVER_LOADS = ("jetflow.recover", "jetflow.fields", "jetflow.borel",
                           "dataclasses", "inspect")
 

@@ -2,7 +2,8 @@
 squarefree decomposition) and minimal polynomials against sympy, float
 products against a schoolbook loop, recovery against closed-form flows, and
 the time shift delta0 and the float time-c flow against scipy's matrix
-exponential.
+exponential, and the plain-Python float linear algebra (Schur form,
+triangular exponential, least squares) against numpy and scipy.
 
 Inputs come from hypothesis (derandomized, so every run checks the same
 examples); answers come from sympy's own polynomial arithmetic over QQ, or
@@ -23,6 +24,7 @@ from jetflow import (VectorFieldJet, flow_time_jet, hatted_shift_jet, recover_sh
 from jetflow.config import DELTA0_TOL
 from jetflow.errors import InconsistentJetError, NotDivisibleError
 from jetflow.fields import binary_form_profile, check_star, reduced_hamiltonian
+from jetflow.floatlinalg import expm_upper, least_squares, schur
 from jetflow.linalg import RatMatrix, minimal_polynomial
 from jetflow.poly import (EXACT, FLOAT, MultiPoly, PolyMap, bivariate_homog_gcd,
                           combine_trunc, common_quotient, compose, divide_exact,
@@ -1046,6 +1048,10 @@ def _example(family, rows, t0):
 # rounding, and one whose start <L, A - I>_F / ||L||_F^2 is -306
 @_example("nilpotent", [[1.0, 1.0], [-1.0, -1.0]], 25.0)
 @_example("nilpotent", [[0.0, 1.0, -1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], -40.0)
+# L^2 != 0: <L, A - I>_F / ||L||_F^2 starts Newton at 4/3 for t0 = 4, where it
+# stalls; the start <L, log A>_F / ||L||_F^2 is t0 itself
+@_example("nilpotent", [[0.0, 1.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]], 4.0)
+@_example("nilpotent", [[0.0, 1.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]], 6.0)
 # two rotation frequencies in the ratio sqrt(2): the branches of one of them are tried
 @_example("rotations", [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                         [0.0, 0.0, 0.0, -math.sqrt(2)], [0.0, 0.0, math.sqrt(2), 0.0]], -2.9)
@@ -1069,3 +1075,40 @@ def test_delta0_reproduces_the_exponential(case, t0, noisy, data):
         assert abs(t) <= period / 2 + spread
     elif family != "random" or max(abs(np.linalg.eigvals(l_mat).real)) > 0.05:
         assert abs(t - t0) <= spread
+
+
+# -- the plain-Python float linear algebra against numpy and scipy ------------
+
+# entries of magnitude 0 or above 1e-3, so that a system whose singular values
+# lie within 1e3 of each other has a solution that rounding moves by < 1e-8
+_ENTRIES = _floats(-2.0, 2.0).map(lambda v: v if abs(v) > 1e-3 else 0.0)
+
+
+@ORACLE
+@given(n=st.integers(1, 5), extra=st.integers(0, 3), s=_floats(-5.0, 5.0), data=st.data())
+def test_floatlinalg_matches_numpy_and_scipy(n, extra, s, data):
+    def draw_matrix(rows, cols):
+        return np.array(data.draw(st.lists(_ENTRIES, min_size=rows * cols,
+                                           max_size=rows * cols))).reshape(rows, cols)
+
+    square = draw_matrix(n, n)
+    tri, q = schur(square.tolist())
+    t_arr, q_arr = np.array(tri), np.array(q)
+    assert np.allclose(q_arr @ t_arr @ q_arr.conj().T, square, rtol=0, atol=1e-13 * n)
+    assert np.allclose(q_arr.conj().T @ q_arr, np.eye(n), rtol=0, atol=1e-14 * n)
+    assert not np.tril(t_arr, -1).any()
+    # e^{Ts} in rows of {column: entry}, T's exact zeros left out
+    e = expm_upper([{j: z for j, z in enumerate(row) if z} for row in tri], s)
+    got = np.array([[row.get(j, 0) for j in range(n)] for row in e])
+    want = expm(t_arr * s)
+    assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+    # least squares on an (n + extra) x n system
+    tall = draw_matrix(n + extra, n)
+    rhs = data.draw(st.lists(_ENTRIES, min_size=n + extra, max_size=n + extra))
+    sol = least_squares(tall.tolist(), [rhs])
+    sv = np.linalg.svd(tall, compute_uv=False)
+    if sv[-1] > 1e-3 * sv[0]:
+        want_x = np.linalg.lstsq(tall, np.array(rhs), rcond=None)[0]
+        assert np.allclose(sol[0], want_x, rtol=0, atol=1e-8 * max(1.0, np.abs(want_x).max()))
+    elif not tall.any(axis=0).all():
+        assert sol is None  # a zero column
