@@ -172,13 +172,3 @@ def finite_diff_jet(evaluator, k, h, nvars=None):
         if not math.isfinite(c):
             raise ValueError(f"coefficient {mono} came out {c!r}; choose another step")
     return out
-
-
-def polynomial_coefficients(omegas):
-    """Exact coefficients of sum omega_i, keyed like finite_diff_jet output."""
-    out = {}
-    for omega in omegas:
-        poly = as_poly(omega)
-        for mono, c in poly.terms.items():
-            out[mono] = out.get(mono, 0) + (float(c) if not isinstance(c, float) else c)
-    return {m: c for m, c in out.items() if c != 0}

@@ -29,27 +29,21 @@ DELTA0_WINDOW = 100.0
 _ENV_VAR = "JETFLOW_FLOAT_TOL"
 
 
-def _env_tol():
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return None
+def _tol(override, default):
+    """The explicit argument, else JETFLOW_FLOAT_TOL when it reads as a float, else default."""
+    if override is not None:
+        return override
     try:
-        return float(raw)
-    except ValueError:
-        return None
+        return float(os.environ[_ENV_VAR])
+    except (KeyError, ValueError):
+        return default
 
 
 def residual_tol(override=None):
     """Residual tolerance: explicit argument > env var > default."""
-    if override is not None:
-        return override
-    env = _env_tol()
-    return RESIDUAL_TOL if env is None else env
+    return _tol(override, RESIDUAL_TOL)
 
 
 def delta0_tol(override=None):
     """Subgroup-matching tolerance: explicit argument > env var > default."""
-    if override is not None:
-        return override
-    env = _env_tol()
-    return DELTA0_TOL if env is None else env
+    return _tol(override, DELTA0_TOL)

@@ -39,12 +39,6 @@ def norm(rows):
     return math.hypot(*map(abs, chain.from_iterable(rows)))
 
 
-def max_abs(values):
-    """max |v| over the floats ``values``; NaN when one of them is NaN."""
-    values = list(values)
-    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
-
-
 def matmul(a, b):
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .linalg import RatMatrix
 from .poly import (EXACT, FLOAT, LieDerivative, MultiPoly, PolyMap, Substituter, combine_trunc,
-                   compose)
+                   compose, max_abs)
 
 
 class VectorFieldJet:
@@ -146,32 +146,9 @@ def flow_bijet(field, order, k):
     return BiJet(PolyMap(coords), k, order)
 
 
-def bidegree_truncate(poly_map, split, xorder, torder):
-    """Keep terms with degree <= xorder in the first ``split`` variables and
-    <= torder in the rest."""
-    coords = []
-    for c in poly_map.coords:
-        kept = {m: v for m, v in c.terms.items()
-                if sum(m[:split]) <= xorder and sum(m[split:]) <= torder}
-        coords.append(MultiPoly(c.nvars, kept, c.mode))
-    return PolyMap(coords)
-
-
 def shift_jet(field, alpha, k):
-    """j^K of the shift map x -> Phi(x, alpha(x)), the hatted shift with h = id.
-
-    For p = 1 a nonzero alpha(0) is transcendental in exact mode (rejected);
-    in float mode the sum runs over the Lie powers of the time-alpha(0) flow,
-    and nothing is composed (see hatted_shift_jet).
-    """
-    if alpha.nvars != field.n:
-        raise ValueError("alpha must live in the field's variables")
-    if alpha.mode != field.mode:
-        raise ValueError("scalar-mode mismatch")
-    if field.p == 1 and field.mode == EXACT and alpha.constant_term() != 0:
-        raise ValueError(
-            "p=1 with alpha(0) != 0 is not exactly computable; "
-            "normalize the input or use float mode")
+    """j^K of the shift map x -> Phi(x, alpha(x)): hatted_shift_jet with h = id, which
+    checks the arguments and composes nothing (see there for p = 1 and alpha(0) != 0)."""
     return hatted_shift_jet(field, PolyMap.identity(field.n, field.mode, k), alpha, k)
 
 
@@ -196,8 +173,6 @@ def hatted_shift_jet(field, h, beta, k):
     """
     if k < 0:
         raise ValueError(f"truncation order must be nonnegative, got {k}")
-    if not h.vanishes_at_origin():
-        raise ValueError("h must vanish at the origin")
     if beta.nvars != field.n or h.nvars != field.n or h.ncoords != field.n:
         raise ValueError("dimension mismatch")
     if beta.mode != field.mode or h.mode != field.mode:
@@ -206,7 +181,7 @@ def hatted_shift_jet(field, h, beta, k):
     if c != 0:
         if field.mode == EXACT:
             raise ValueError(
-                "p=1 with beta(0) != 0 is not exactly computable; "
+                "p=1 with a nonzero constant time is not exactly computable; "
                 "normalize the input or use float mode")
         beta = beta - c
     imax = 0 if beta.is_zero() else max(0, (k - 1) // (field.p - 1 + int(beta.min_degree())))
@@ -238,10 +213,10 @@ _SERIES_RADIUS = 16.0
 
 def _largest(values, c):
     """The largest |value| of floats; raises when one is not finite."""
-    values = list(values)
-    if not all(map(math.isfinite, values)):
+    largest = max_abs(values, 0.0)
+    if not math.isfinite(largest):
         raise ValueError(f"flow integration blew up before time {c}")
-    return max(map(abs, values), default=0.0)
+    return largest
 
 
 def flow_time_jet(field, c, k):
@@ -279,7 +254,7 @@ def flow_time_jet(field, c, k):
         m += 1
     s = math.ldexp(c, -m)
     lie = LieDerivative(PolyMap([p.scale(s) for p in field.field.coords]), k)
-    keys, columns, term = lie.closure(PolyMap.identity(field.n, FLOAT, k).coords)
+    keys, columns, term = lie.closure()
     total = [row[:] for row in term]
     inv_fact = bar = 1.0
     for i in itertools.count(1):

@@ -77,23 +77,21 @@ def _coerce(value, mode):
 
 def monomials_of_degree(nvars, d):
     """All exponent tuples of total degree d, in descending lex order."""
-    if nvars == 1:
-        return [(d,)]
-    out = []
-    for first in range(d, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, d - first):
-            out.append((first,) + rest)
-    return out
+    if nvars <= 1:
+        return [(d,)] if nvars else [] if d else [()]
+    return [(first,) + rest for first in range(d, -1, -1)
+            for rest in monomials_of_degree(nvars - 1, d - first)]
 
 
-def _max_nan(values, default):
-    """max(values, default=default), except that any NaN makes the result NaN.
+def max_abs(values, zero=0):
+    """The largest |v| over values, ``zero`` when there are none; NaN when one is NaN.
 
     Plain max() returns NaN only when NaN comes first, because every
-    comparison with NaN is false.
+    comparison with NaN is false.  This loop also beats max() and sum() over
+    a list of the |v| on the short lists of coefficients it mostly sees.
     """
-    best = default
-    for v in values:
+    best = zero
+    for v in map(abs, values):
         if v != v:  # only NaN is unequal to itself
             return v
         if v > best:
@@ -187,7 +185,7 @@ class MultiPoly:
     def max_abs_coeff(self):
         """Largest |coefficient|: 0 for the zero polynomial, NaN if any is NaN."""
         _, _, values, den = _pack(self)
-        largest = _max_nan(map(abs, values), 0)
+        largest = max_abs(values)
         return Fraction(largest, den) if self.mode == EXACT else float(largest)
 
     def is_homogeneous(self, d=None):
@@ -571,23 +569,20 @@ class LieDerivative:
                 acc[o] += c * b
         return _from_sums(n, self.mode, bits, dict(zip(self.outputs, acc)), den * self.den)
 
-    def closure(self, ps):
-        """The closed table of a series that steps ps by this derivative.
+    def closure(self):
+        """The closed table of a series that steps x_1..x_n by this derivative.
 
-        Returns the packed keys reachable from ps's terms of degree <= k
+        Returns the packed keys reachable from x_1..x_n (none when k = 0)
         through their columns, ascending; each key's column, with its
-        outputs as positions in that list; and each p's values over those
-        keys, 0 where p has no term (exact values are numerators over p's
-        denominator).  Summing a row's nonzero entries in position order,
-        each over its column, is then what apply sums, in apply's order.
+        outputs as positions in that list; and each x_j's values over those
+        keys, 1 at x_j's key and 0 elsewhere.  Summing a row's nonzero
+        entries in position order, each over its column, is then what apply
+        sums, in apply's order.
         """
-        n, bits = self.nvars, self.bits
-        if any(p.nvars != n or p.mode != self.mode for p in ps):
-            raise ValueError(f"the Lie derivative needs {self.mode} polynomials in {n} variables")
-        top = (self.k + 1) << n * bits
-        packs = [_pack(p, bits) for p in ps]
+        shift = self.nvars * self.bits
         columns, outputs = self.columns, self.outputs
-        todo = [key for _, keys, _, _ in packs for key in keys if key < top]
+        units = [1 << shift | 1 << at for at, _ in self.rows]  # the keys of x_1..x_n
+        todo = units[:] if self.k >= 1 else []
         reached = set(todo)
         while todo:
             key = todo.pop()
@@ -599,13 +594,8 @@ class LieDerivative:
                     todo.append(outputs[o])
         keys = sorted(reached)
         index = {key: q for q, key in enumerate(keys)}
-        rows = []
-        for _, pkeys, values, _ in packs:
-            row = [0] * len(keys)
-            for key, v in zip(pkeys, values):
-                if key < top:
-                    row[index[key]] = v
-            rows.append(row)
+        one = 1.0 if self.mode == FLOAT else 1
+        rows = [[one if key == unit else 0 for key in keys] for unit in units]
         return keys, [[(index[outputs[o]], b) for o, b in columns[key]] for key in keys], rows
 
     def polys(self, keys, rows):
@@ -765,17 +755,12 @@ class PolyMap:
 
     @classmethod
     def linear(cls, matrix_rows, mode=EXACT, trunc=None):
-        """The linear map x -> Ax from an iterable of matrix rows."""
+        """The linear map x -> Ax from an iterable of matrix rows of one length."""
         rows = [list(r) for r in matrix_rows]
-        n = len(rows[0])
-        coords = []
-        for row in rows:
-            terms = {}
-            for j, a in enumerate(row):
-                mono = tuple(1 if i == j else 0 for i in range(n))
-                terms[mono] = a
-            coords.append(MultiPoly(n, terms, mode))
-        return cls(coords, trunc)
+        units = monomials_of_degree(len(rows[0]), 1)
+        if any(len(row) != len(units) for row in rows):
+            raise ValueError("matrix rows differ in length")
+        return cls([MultiPoly(len(units), dict(zip(units, row)), mode) for row in rows], trunc)
 
     def vanishes_at_origin(self):
         return all(c.constant_term() == 0 for c in self.coords)
@@ -808,18 +793,12 @@ class PolyMap:
 
     def linear_part(self):
         """Rows of the Jacobian at the origin (list of lists of scalars)."""
-        rows = []
-        for p in self.coords:
-            row = []
-            for j in range(self.nvars):
-                mono = tuple(1 if i == j else 0 for i in range(self.nvars))
-                row.append(p.coefficient(mono))
-            rows.append(row)
-        return rows
+        units = monomials_of_degree(self.nvars, 1)
+        return [[p.coefficient(mono) for mono in units] for p in self.coords]
 
     def max_abs_coeff(self):
         """Largest |coefficient| over all coordinates; NaN if any is NaN."""
-        return _max_nan((p.max_abs_coeff() for p in self.coords), _coerce(0, self.mode))
+        return max_abs(map(MultiPoly.max_abs_coeff, self.coords), _coerce(0, self.mode))
 
     def is_identity(self, k=None, tol=0):
         """Whether this map is the identity jet to order k, coefficientwise within tol."""
@@ -861,7 +840,7 @@ class Substituter:
 
     def __init__(self, inner, k):
         if not inner.vanishes_at_origin():
-            raise ValueError("inner map must vanish at the origin for truncated composition")
+            raise ValueError("h must vanish at the origin: truncated composition substitutes it")
         self.inner = inner
         self.k = k
         self.mode = inner.mode

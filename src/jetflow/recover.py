@@ -54,7 +54,7 @@ from .errors import InconsistentJetError, NotDivisibleError, NotOnSubgroupError
 from .jet import _inv_factorial, hatted_shift_jet
 from .linalg import RatMatrix
 from .poly import (EXACT, FLOAT, HomogPoly, MultiPoly, PolyMap, append_above, as_poly,
-                   combine_trunc, common_quotient, monomials_of_degree)
+                   combine_trunc, common_quotient, max_abs, monomials_of_degree)
 
 # A float slice of h - Phi(x, sigma) within _GAMMA * _U times the sum of
 # |c| max|a| max|b| over its products is rounding (see the module docstring).
@@ -129,7 +129,7 @@ def divide_by_initial_part(v, p_vec, l=None, tol=None):
                 order=l, residual=PolyMap(v_polys)) from None
         return HomogPoly(omega, l)
 
-    from .floatlinalg import least_squares, max_abs
+    from .floatlinalg import least_squares
 
     unknowns = monomials_of_degree(nvars, l)
     targets = monomials_of_degree(nvars, p_deg + l)
@@ -361,10 +361,9 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
     # divisor * omega_l.  minus_inv_fact[i] is -1/i!.
     pows, known, order = [None, MultiPoly.zero(n, mode)], [None, None], math.inf
     minus_inv_fact = [-_inv_factorial(i, mode) for i in range(k + 1)]
-    # Float mode only: pow_max[i] is max |sigma^i|, updated from each slice
-    # appended to it, and w_max[i] the sum over coordinates of max |w_i|.
+    # Float mode only: w_max[i] is the sum over coordinates of max |w_i|.
     floating = mode == FLOAT
-    pow_max, w_max = [None, 0.0], []
+    w_max = []
     for l in range(first, k - p + 1):
         d = p + l
         terms = [list(pair) for pair in base]
@@ -376,20 +375,17 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
             if i == len(pows):
                 pows.append(MultiPoly.zero(n, mode))
                 known.append(i * order - 1)
-                pow_max.append(0.0)
             while i > 1 and known[i] < d - i * (p - 1) - 1:
                 known[i] += 1
                 step = combine_trunc(n, mode, [(1, pows[i - 1], pows[1])], known[i], known[i], k)
                 pows[i] = append_above(pows[i], step, k)
-                if floating:
-                    pow_max[i] = max(pow_max[i], step.max_abs_coeff())
             if i == len(ws):
                 ws = field.flow_series(c, i, k)
             for coord, w_ij in zip(terms, ws[i].coords):
                 coord.append((minus_inv_fact[i], w_ij, pows[i]))
             if floating:
                 w_max += [sum(q.max_abs_coeff() for q in w.coords) for w in ws[len(w_max):]]
-                scale -= minus_inv_fact[i] * w_max[i] * pow_max[i]
+                scale -= minus_inv_fact[i] * w_max[i] * pows[i].max_abs_coeff()
             i += 1
         # the degree-d slice of h - Phi(x, sigma), one sum per coordinate
         v = PolyMap([combine_trunc(n, mode, coord, d, d, k) for coord in terms])
@@ -414,8 +410,6 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
         if not omega.is_zero():
             pows[1] = append_above(pows[1], omega, k)
             order = min(order, l)
-            if floating:
-                pow_max[1] = max(pow_max[1], omega.max_abs_coeff())
 
     return RecoveryResult(omegas, all(r <= bound for r in residuals), mode, residuals)
 

@@ -2,8 +2,9 @@
 
 A polynomial is a list of term objects {"exps": [..], "num": str, "den": str}
 in descending graded-lexicographic order; float coefficients ride in "num"
-with "den" = "1".  Documents produced here re-ingest losslessly through the
-matching from_json readers.
+with "den" = "1".  Polynomial and map documents re-ingest losslessly through
+the matching from_json readers; the jets document that the borel subcommand
+reads, {"nvars": n, "omegas": [...]} with omega_i at index i, is not written here.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ def polymap_from_json(data, mode=EXACT):
 
 def matrix_to_json(m):
     return [[str(x) for x in row] for row in m.rows]
-
-
-def jets_to_json(omegas, nvars):
-    """Prescribed-jet document for the borel subcommand: omega_i at index i."""
-    return {"nvars": nvars, "omegas": [poly_to_json(o) for o in omegas]}
 
 
 def jets_from_json(data):

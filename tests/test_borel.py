@@ -3,11 +3,20 @@ import random
 
 import pytest
 
-from jetflow.borel import (BorelRealization, bump, finite_diff_jet,
-                           polynomial_coefficients, realize_jet)
-from jetflow.poly import FLOAT, HomogPoly, MultiPoly
+from jetflow.borel import BorelRealization, bump, finite_diff_jet, realize_jet
+from jetflow.poly import FLOAT, HomogPoly, MultiPoly, as_poly
 
 from conftest import rand_homog
+
+
+def polynomial_coefficients(omegas):
+    """Exact coefficients of sum omega_i, keyed like finite_diff_jet output."""
+    out = {}
+    for omega in omegas:
+        poly = as_poly(omega)
+        for mono, c in poly.terms.items():
+            out[mono] = out.get(mono, 0) + (float(c) if not isinstance(c, float) else c)
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def U():

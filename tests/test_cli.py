@@ -22,6 +22,11 @@ from jetflow.serialize import (poly_from_json, poly_to_json, polymap_from_json,
 from conftest import fresh_python, rand_poly
 
 
+def jets_to_json(omegas, nvars):
+    """Prescribed-jet document for the borel subcommand: omega_i at index i."""
+    return {"nvars": nvars, "omegas": [poly_to_json(o) for o in omegas]}
+
+
 def test_parse_examples():
     p = parse_poly("-4*x^3*y^3", ["x", "y"])
     assert p.terms == {(3, 3): Fraction(-4)}
@@ -326,8 +331,6 @@ def test_cli_flow_and_float(capsys):
 
 
 def test_cli_borel(tmp_path, capsys):
-    from jetflow.serialize import jets_to_json
-
     u = MultiPoly.variable(1, 0)
     omegas = [MultiPoly.const(1, 1), u, u ** 2]
     path = tmp_path / "jets.json"
@@ -343,8 +346,6 @@ def test_cli_borel(tmp_path, capsys):
 
 
 def _borel_fd(tmp_path, capsys, order):
-    from jetflow.serialize import jets_to_json
-
     path = tmp_path / "jets.json"
     path.write_text(json.dumps(jets_to_json([MultiPoly.const(2, 1)], 2)))
     start = time.perf_counter()
@@ -441,7 +442,6 @@ _SUBCOMMANDS = [
                          ids=[c[0] for c in _SUBCOMMANDS])
 def test_cli_subcommand_options(tmp_path, monkeypatch, capsys, command, required, argv,
                                 takes_float):
-    from jetflow.serialize import jets_to_json
     (tmp_path / "jets.json").write_text(json.dumps(jets_to_json([MultiPoly.const(1, 1)], 1)))
     monkeypatch.chdir(tmp_path)
     assert run([command]) == 1
@@ -463,8 +463,6 @@ def test_cli_subcommand_options(tmp_path, monkeypatch, capsys, command, required
     ["--fd-order", "2", "--fd-step", "nan"],
 ])
 def test_cli_borel_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
-    from jetflow.serialize import jets_to_json
-
     path = tmp_path / "jets.json"
     path.write_text(json.dumps(jets_to_json([MultiPoly.const(2, 1)], 2)))
     code = run(["borel", "--jets", str(path), *argv, "--json"])
@@ -480,8 +478,6 @@ def test_cli_borel_non_finite_input_is_a_usage_error(tmp_path, capsys, argv):
     ["--fd-step", "1e-105"],  # h^3 is subnormal: rounding error / h^3 reads 1e88-1e298
 ])
 def test_cli_borel_step_out_of_range_is_a_usage_error(tmp_path, capsys, argv):
-    from jetflow.serialize import jets_to_json
-
     path = tmp_path / "jets.json"
     u = MultiPoly.variable(1, 0)
     path.write_text(json.dumps(jets_to_json([MultiPoly.const(1, 1), u], 1)))
@@ -642,8 +638,6 @@ def test_cli_huge_exponent_is_a_parse_error(capsys):
 
 
 def test_cli_values_that_start_with_a_minus(tmp_path, capsys):
-    from jetflow.serialize import jets_to_json
-
     assert run(["classify-exp", "-L", "-1,0;0,-1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["tag"] == "ClosedLine"
     assert run(["profile", "-g", "-x*y"]) == 0

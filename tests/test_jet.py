@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,13 +8,24 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from jetflow.jet import (BiJet, VectorFieldJet, bidegree_truncate, flow_bijet,
-                         flow_taylor_coeffs, flow_time_jet, hatted_shift_jet,
-                         jet_inverse, shift_jet)
+from jetflow.cli import run
+from jetflow.jet import (BiJet, VectorFieldJet, _largest, flow_bijet, flow_taylor_coeffs,
+                         flow_time_jet, hatted_shift_jet, jet_inverse, shift_jet)
 from jetflow.linalg import RatMatrix
 from jetflow.poly import EXACT, FLOAT, LieDerivative, MultiPoly, PolyMap, combine_trunc, compose
 
 from conftest import rand_field, rand_poly
+
+
+def bidegree_truncate(poly_map, split, xorder, torder):
+    """Keep terms with degree <= xorder in the first ``split`` variables and
+    <= torder in the rest."""
+    coords = []
+    for c in poly_map.coords:
+        kept = {m: v for m, v in c.terms.items()
+                if sum(m[:split]) <= xorder and sum(m[split:]) <= torder}
+        coords.append(MultiPoly(c.nvars, kept, c.mode))
+    return PolyMap(coords)
 
 
 def scalar_field(expr_power=2, mode=EXACT):
@@ -89,12 +101,26 @@ def test_shift_jet_examples():
     assert shift_jet(field, MultiPoly.zero(1), 4) == PolyMap.identity(1, trunc=4)
 
 
-def test_shift_jet_p1_constant_rejected_exact():
+_P1_REFUSAL = ("p=1 with a nonzero constant time is not exactly computable; "
+               "normalize the input or use float mode")
+
+
+def test_shift_jet_p1_constant_rejected_exact(capsys):
     rows = [[Fraction(-4), Fraction(0)], [Fraction(0), Fraction(3)]]
     field = VectorFieldJet(PolyMap.linear(rows))
     alpha = MultiPoly.const(2, Fraction(1, 4))
     with pytest.raises(ValueError):
         shift_jet(field, alpha, 4)
+    # both entry points refuse with one message
+    for call in (lambda: shift_jet(field, alpha, 4),
+                 lambda: hatted_shift_jet(field, PolyMap.identity(2), alpha, 4)):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == _P1_REFUSAL
+    assert run(["shift-jet", "-F", "y, -x", "-a", "1+x", "-K", "3", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert doc["error"] == {"kind": "Usage", "detail": _P1_REFUSAL}
 
 
 def test_float_shift_of_a_slow_field_matches_exact(slow_field):
@@ -271,6 +297,15 @@ def test_flow_time_jet_overflow_reported():
     field = VectorFieldJet(PolyMap([u.scale(100.0)]))
     with pytest.raises(ValueError, match="blew up"):
         flow_time_jet(field, 10.0, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_the_flow_scan_raises_on_a_value_that_is_not_finite(bad):
+    assert _largest([0.5, -2.0], 1.0) == 2.0
+    assert _largest([], 1.0) == 0.0
+    for values in ([bad, 1.0], [1.0, bad, -3.0], [1.0, bad]):
+        with pytest.raises(ValueError, match="blew up before time 1.5"):
+            _largest(iter(values), 1.5)
 
 
 def _lie_series_reference(field, c, k):

@@ -260,6 +260,34 @@ def test_polymap_shape_errors(xy):
     m = PolyMap([x, y])
     with pytest.raises(ValueError):
         m + PolyMap([x])
+    # rows of one length, square or not, are a linear map; ragged rows are refused
+    assert PolyMap.linear([[1, 2, 3], [4, 5, 6]]).linear_part() == [[1, 2, 3], [4, 5, 6]]
+    for ragged in ([[1], [2, 3]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="differ in length"):
+            PolyMap.linear(ragged)
+
+
+@pytest.mark.parametrize("values", [[math.nan, 1.0, -2.0], [1.0, math.nan, -2.0],
+                                    [1.0, -2.0, math.nan], [math.inf, math.nan]])
+def test_max_abs_is_nan_wherever_a_nan_stands(values):
+    assert math.isnan(poly.max_abs(values))
+    assert math.isnan(poly.max_abs(iter(values), 0.0))
+
+
+def test_max_abs_of_numbers_infinities_and_nothing():
+    assert poly.max_abs([1.0, -math.inf, 3.0]) == math.inf
+    assert poly.max_abs([-math.inf]) == math.inf
+    assert poly.max_abs([0.5, -2.5, 1.0]) == 2.5
+    # no values give the zero asked for, of its own type
+    assert poly.max_abs([]) == 0 and type(poly.max_abs([])) is int
+    assert type(poly.max_abs([], 0.0)) is float
+    assert poly.max_abs(iter([]), Fraction(0)) == Fraction(0)
+    # exact numerators and Fractions; the first of equal maxima is returned
+    assert poly.max_abs([3, -7, 2 ** 200, -(2 ** 201)]) == 2 ** 201
+    assert poly.max_abs([Fraction(1, 3), Fraction(-5, 2), Fraction(2)]) == Fraction(5, 2)
+    big = Fraction(10 ** 400, 3)  # too large for a float
+    assert poly.max_abs([Fraction(1), -big]) == big
+    assert type(poly.max_abs([Fraction(-5, 2), 2])) is Fraction
 
 
 def test_max_abs_coeff_sees_nan_after_a_number():
