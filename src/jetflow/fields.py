@@ -132,21 +132,19 @@ def verify_integral_representation(vf, funcs):
         raise NoSuchFactorError(str(exc)) from exc
 
 
-def gradients_independent_sampled(funcs, samples=None):
+def gradients_independent_sampled(funcs):
     """Probabilistic check that the gradients are independent somewhere.
 
-    Evaluates the gradient matrix at sample rational points and reports
-    whether full rank n-1 is ever attained.  Advisory only.
+    Evaluates the gradient matrix at the five cyclic shifts of the rational
+    point (1, 2, -3, 5/2, -7/3), cut to n coordinates, and reports whether
+    full rank n-1 is ever attained.  Advisory only.
     """
     funcs = [as_poly(g) for g in funcs]
     n = funcs[0].nvars
-    if samples is None:
-        base = [Fraction(1), Fraction(2), Fraction(-3), Fraction(5, 2), Fraction(-7, 3)]
-        samples = []
-        for shift in range(5):
-            samples.append([base[(i + shift) % len(base)] for i in range(n)])
+    base = [Fraction(1), Fraction(2), Fraction(-3), Fraction(5, 2), Fraction(-7, 3)]
     grads = [[g.partial(j) for j in range(n)] for g in funcs]
-    for point in samples:
+    for shift in range(len(base)):
+        point = [base[(i + shift) % len(base)] for i in range(n)]
         rows = [[entry.evaluate(point) for entry in row] for row in grads]
         _, pivots = rref(rows)
         if len(pivots) == n - 1:
@@ -183,8 +181,6 @@ def stabilizer_tangent(funcs):
 
 def _is_rational_square(q):
     """Whether a positive rational is the square of a rational."""
-    if q < 0:
-        return False
     num, den = q.numerator, q.denominator
     return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
 

@@ -221,14 +221,12 @@ def least_squares(a, rhs):
     """For each vector b in ``rhs``, the x minimizing ||A x - b||_2, where A is
     the m x k matrix ``a`` (lists of rows); None when A's numerical rank is
     below k, that is when a pivot is at most max(m, k) * 2^-52 times the
-    first.
+    first (pivot m + 1 of a matrix with m < k rows is 0).
 
     Householder QR with column pivoting: each step moves the remaining
     column of largest norm first, so the pivots |R_jj| do not increase.
     """
     m, k = len(a), len(a[0])
-    if m < k:
-        return None
     cols = [list(col) for col in zip(*a)]
     rhs = [list(b) for b in rhs]
     perm = list(range(k))

@@ -310,6 +310,5 @@ def jet_inverse(h, k):
             continue
         correction = [combine_trunc(n, h.mode, [(a, q) for a, q in zip(row, parts) if a != 0], order)
                       for row in a_inv]
-        g = g - PolyMap(correction)
-        g = g.truncate(k)
-    return g.truncate(k)
+        g = g - PolyMap(correction)  # keeps g's truncation order k
+    return g

@@ -160,8 +160,6 @@ def solve_exact(rows, rhs):
     Returns a solution, or None when the system is inconsistent.  When free
     variables remain, the solution has zeros in the free coordinates.
     """
-    if not rows:
-        return []
     ncols = len(rows[0])
     aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     red, pivots = rref(aug)

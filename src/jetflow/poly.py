@@ -25,9 +25,10 @@ sums, differences, scalings, powers, slices, partial, content and to_float
 read only the packed form, in one pass each; it holds every term and is set
 once (see _pack; one key width per degree, see _width).  ``.terms`` is the
 tuple-keyed view, built on first access.  Exact division, by one polynomial
-(divide_exact) or coordinatewise by a vector (common_quotient), reduces by a
-single divisor in graded-lex order (Cox, Little and O'Shea, "Ideals,
-Varieties, and Algorithms", 2.3) on the packed keys, with integer numerators.
+(divide_exact) or coordinatewise by a vector (common_quotient), is defined in
+exact mode only; it reduces by a single divisor in graded-lex order (Cox,
+Little and O'Shea, "Ideals, Varieties, and Algorithms", 2.3) on the packed
+keys, with integer numerators.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -570,12 +571,12 @@ class LieDerivative:
         return _from_sums(n, self.mode, bits, dict(zip(self.outputs, acc)), den * self.den)
 
     def closure(self):
-        """The closed table of a series that steps x_1..x_n by this derivative.
+        """The closed table of a float series that steps x_1..x_n by this derivative.
 
         Returns the packed keys reachable from x_1..x_n (none when k = 0)
         through their columns, ascending; each key's column, with its
         outputs as positions in that list; and each x_j's values over those
-        keys, 1 at x_j's key and 0 elsewhere.  Summing a row's nonzero
+        keys, 1.0 at x_j's key and 0 elsewhere.  Summing a row's nonzero
         entries in position order, each over its column, is then what apply
         sums, in apply's order.
         """
@@ -594,8 +595,7 @@ class LieDerivative:
                     todo.append(outputs[o])
         keys = sorted(reached)
         index = {key: q for q, key in enumerate(keys)}
-        one = 1.0 if self.mode == FLOAT else 1
-        rows = [[one if key == unit else 0 for key in keys] for unit in units]
+        rows = [[1.0 if key == unit else 0 for key in keys] for unit in units]
         return keys, [[(index[outputs[o]], b) for o, b in columns[key]] for key in keys], rows
 
     def polys(self, keys, rows):
@@ -882,18 +882,21 @@ def compose(outer, inner, k):
 def divide_exact(f, d):
     """Quotient q with q*d = f exactly; raises NotDivisibleError otherwise.
 
+    Exact mode only, as a float remainder cancels to 0.0 only by luck.
     Leading-term elimination by the single divisor d on sorted packed keys
     at f's own width, whose spare top bit per exponent field (see _width)
-    catches a negative exponent.  Exact remainders stay integer numerators:
+    catches a negative exponent.  Remainders stay integer numerators:
     where d's leading numerator does not divide the remainder's, both the
     remainder and the quotient so far are scaled up, and so is q's denominator.
     """
     _check_pair(f, d)
+    if f.mode != EXACT:
+        raise ValueError("exact division is defined in exact mode only")
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    n, mode = f.nvars, f.mode
+    n = f.nvars
     if f.is_zero():
-        return MultiPoly.zero(n, mode)
+        return MultiPoly.zero(n, EXACT)
     if d.degree() > f.degree():
         raise NotDivisibleError(f"{d} does not divide {f}")
     bits, keys, values, den_f = _pack(f)  # its width leaves every top bit spare
@@ -908,17 +911,13 @@ def divide_exact(f, d):
         if mono & guard:  # a borrow out of some exponent field
             raise NotDivisibleError(f"{d} does not divide {f}")
         r = rem.pop(key)
-        if mode == EXACT:
-            missing = abs(lead) // math.gcd(r, lead)
-            if missing != 1:
-                scale *= missing
-                rem = {m: v * missing for m, v in rem.items()}
-                quot = {m: v * missing for m, v in quot.items()}
-                r *= missing
-            c = r // lead
-        else:
-            c = r / lead
-        quot[mono] = c
+        missing = abs(lead) // math.gcd(r, lead)
+        if missing != 1:
+            scale *= missing
+            rem = {m: v * missing for m, v in rem.items()}
+            quot = {m: v * missing for m, v in quot.items()}
+            r *= missing
+        c = quot[mono] = r // lead
         for dkey, v in rest:
             m = mono + dkey
             s = rem.get(m, 0) - c * v
@@ -926,10 +925,9 @@ def divide_exact(f, d):
                 rem[m] = s
             else:
                 rem.pop(m, None)
-    if mode == EXACT:
-        # f = F / den_f, d = D / den_d and scale * F = Q * D: q = Q den_d / (scale den_f)
-        quot = {m: v * den_d for m, v in quot.items()}
-    return _from_sums(n, mode, bits, quot, den_f * scale)
+    # f = F / den_f, d = D / den_d and scale * F = Q * D: q = Q den_d / (scale den_f)
+    quot = {m: v * den_d for m, v in quot.items()}
+    return _from_sums(n, EXACT, bits, quot, den_f * scale)
 
 
 def common_quotient(nums, dens):
@@ -937,8 +935,9 @@ def common_quotient(nums, dens):
 
     Divides the first coordinate with a nonzero divisor by divide_exact and
     checks each other one as one combine_trunc, q * dens[j] - nums[j] = 0, on
-    packed terms, so that no Fraction is built.  Raises NotDivisibleError
-    when no such q exists, ZeroDivisionError when every divisor is zero.
+    packed terms, so that no Fraction is built.  Exact mode only, as
+    divide_exact is.  Raises NotDivisibleError when no such q exists,
+    ZeroDivisionError when every divisor is zero.
     """
     pairs = list(zip(nums, dens, strict=True))
     num, den = next(((n, d) for n, d in pairs if not d.is_zero()), (None, None))

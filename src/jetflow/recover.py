@@ -291,23 +291,17 @@ def delta0_linear(a, l_mat, tol=None):
         best_t, best_dist)
 
 
-def _differs(omegas, l, m, part):
-    """The error for h - Phi(x, omega_0 + ... + omega_{l-1}) off by ``part`` at
-    degree m < p + l, found at order l."""
-    where = (f"from the shift by omega_0..omega_{l - 1} at degree {m} < p+{l}"
-             if omegas else f"from the identity below the flat order (degree {m})")
-    return InconsistentJetError(f"jet differs {where}", order=l, residual=part)
-
-
 def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
     """Recover omega_0 .. omega_{K-p} with j^K(h) = j^K(x -> Phi(x, sum omega_l)).
 
     Exact mode yields exact rationals (and requires j^1(h) = id when p = 1);
     float mode uses delta0_linear for the p = 1 time shift and tolerance
     checks elsewhere (``tol`` overrides the residual tolerance,
-    ``delta0_tol`` the subgroup matching one).  Raises InconsistentJetError
-    (with the failing order) when h is not a formal shift of F,
-    NotOnSubgroupError in the float p = 1 case.
+    ``delta0_tol`` the subgroup matching one).  One pass over d = 1..K
+    divides each slice that carries an omega_{d-p} and records the largest
+    coefficient of h - Phi(x, sigma) at degree d in ``residuals``.  A degree
+    below K above the bound raises InconsistentJetError, whose order counts
+    the omegas found; float p = 1 may raise NotOnSubgroupError.
     """
     p = field.p
     n = field.n
@@ -344,15 +338,10 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
     # every coordinate's sum starts with (1, h_j) and (-1, w_0j), which
     # combine_trunc cuts to the degree it forms
     base = [((1, a), (-1, b)) for a, b in zip(hl.coords, ws[0].coords)]
-    # residuals[m - 1] is max |h - Phi(x, sigma)| at degree m.  A degree
-    # below K above the bound is refused at the order that first sees it.
+    # residuals[d - 1] is max |h - Phi(x, sigma)| at degree d, sigma taken
+    # through omega_{d-p} where degree d has one.  A degree below K above the
+    # bound is refused at the order that first sees it.
     residuals = []
-    for m in range(1, p + first):
-        part = PolyMap([combine_trunc(n, mode, pair, m, m, k) for pair in base])
-        residuals.append(part.max_abs_coeff())
-        if m < k and not residuals[-1] <= bound:  # a NaN is refused too
-            raise _differs(omegas, first, m, part)
-
     # pows[1] is sigma = omega_first + ... + omega_{l-1}, of order ``order``;
     # pows[i] holds sigma^i through degree known[i].  w_i has order
     # >= i(p-1) + 1, so only the terms with i(p-1) + 1 + i * order <= d reach
@@ -364,12 +353,12 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
     # Float mode only: w_max[i] is the sum over coordinates of max |w_i|.
     floating = mode == FLOAT
     w_max = []
-    for l in range(first, k - p + 1):
-        d = p + l
+    for d in range(1, k + 1):
+        l = d - p
         terms = [list(pair) for pair in base]
         # sum |c| max|a| max|b| over the terms of every coordinate's sum
         scale = sum(q.homogeneous_part(d).poly.max_abs_coeff()
-                    for f in (hl, ws[0]) for q in f.coords) if floating else 0
+                    for f in (hl, ws[0]) for q in f.coords) if floating and l >= first else 0
         i = 1
         while i * (p - 1 + order) < d:
             if i == len(pows):
@@ -389,27 +378,31 @@ def recover_shift_jet(field, h, k, tol=None, delta0_tol=None):
             i += 1
         # the degree-d slice of h - Phi(x, sigma), one sum per coordinate
         v = PolyMap([combine_trunc(n, mode, coord, d, d, k) for coord in terms])
-        if floating and (size := v.max_abs_coeff()) <= bound and size <= _GAMMA * _U * scale:
-            # v is rounding: omega_l is zero, and sigma and its powers stay
-            omegas.append(HomogPoly.zero(n, l, FLOAT))
-            residuals.append(size)
-            continue
-        omegas.append(divide_by_initial_part(v, divisor, l, tol))
-        omega = omegas[l].poly
-        if mode == EXACT:
-            # the division proved v = divisor * omega_l: h - Phi(x, sigma +
-            # omega_l) vanishes at degree d
-            residuals.append(Fraction(0))
-        else:
-            # the degree-d slice of h - Phi(x, sigma + omega_l)
-            rest = PolyMap([combine_trunc(n, mode, [(1, v_j), (-1, q.poly, omega)], d, d, k)
-                            for v_j, q in zip(v.coords, divisor)])
-            residuals.append(rest.max_abs_coeff())
-            if d < k and not residuals[-1] <= bound:
-                raise _differs(omegas, l + 1, d, rest)
-        if not omega.is_zero():
-            pows[1] = append_above(pows[1], omega, k)
-            order = min(order, l)
+        if l >= first:  # below the first omega, v itself is the residual
+            if floating and (size := v.max_abs_coeff()) <= bound and size <= _GAMMA * _U * scale:
+                # v is rounding: omega_l is zero, and sigma and its powers stay
+                omegas.append(HomogPoly.zero(n, l, FLOAT))
+                residuals.append(size)
+                continue
+            omegas.append(divide_by_initial_part(v, divisor, l, tol))
+            omega = omegas[l].poly
+            if not omega.is_zero():
+                pows[1] = append_above(pows[1], omega, k)
+                order = min(order, l)
+            if not floating:
+                # the division proved v = divisor * omega_l: h - Phi(x, sigma +
+                # omega_l) vanishes at degree d
+                residuals.append(Fraction(0))
+                continue
+            # the residual: the degree-d slice of h - Phi(x, sigma + omega_l)
+            v = PolyMap([combine_trunc(n, mode, [(1, v_j), (-1, q.poly, omega)], d, d, k)
+                         for v_j, q in zip(v.coords, divisor)])
+        residuals.append(v.max_abs_coeff())
+        if d < k and not residuals[-1] <= bound:  # a NaN is refused too
+            where = (f"from the shift by omega_0..omega_{len(omegas) - 1} at degree {d} "
+                     f"< p+{len(omegas)}" if omegas
+                     else f"from the identity below the flat order (degree {d})")
+            raise InconsistentJetError(f"jet differs {where}", order=len(omegas), residual=v)
 
     return RecoveryResult(omegas, all(r <= bound for r in residuals), mode, residuals)
 

@@ -28,21 +28,13 @@ def degree(p):
     return len(p) - 1
 
 
-def add(p, q):
+def sub(p, q):
     out = [Fraction(0)] * max(len(p), len(q))
     for i, c in enumerate(p):
         out[i] += c
     for i, c in enumerate(q):
-        out[i] += c
+        out[i] -= c
     return normalize(out)
-
-
-def neg(p):
-    return [-c for c in p]
-
-
-def sub(p, q):
-    return add(p, neg(q))
 
 
 def divmod_exact(p, d):
@@ -107,7 +99,7 @@ def sturm_chain(p):
             _, r = divmod_exact(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append(neg(r))
+            chain.append([-c for c in r])
     return chain
 
 

@@ -204,6 +204,21 @@ def test_divide_exact_examples(xy):
         divide_exact(x ** 2, y)
 
 
+def test_exact_division_refuses_float_operands():
+    # float elimination ends only where every remainder cancels to exactly
+    # 0.0: with a = 0.1x + 0.3y and b = 0.7x - 1.1y + 0.9xy, a*b / a is
+    # refused as not divisible, so float operands are refused up front
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    a = x.scale(0.1) + y.scale(0.3)
+    b = x.scale(0.7) - y.scale(1.1) + (x * y).scale(0.9)
+    with pytest.raises(ValueError, match="exact mode only"):
+        divide_exact(a * b, a)
+    with pytest.raises(ValueError, match="exact mode only"):
+        divide_exact(MultiPoly.zero(2, FLOAT), a)
+    with pytest.raises(ValueError, match="exact mode only"):
+        common_quotient([a * b, (a * b).scale(2.0)], [a, a.scale(2.0)])
+
+
 def test_divide_exact_roundtrip():
     rng = random.Random(99)
     for _ in range(20):

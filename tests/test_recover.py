@@ -55,6 +55,14 @@ def test_delta0_examples():
     assert abs(t - math.log(2)) < 1e-9
 
 
+def test_delta0_takes_rat_matrices():
+    # RatMatrix arguments are read as the same floats as lists of rows
+    a = RatMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 4)]])
+    l_mat = RatMatrix([[-1, 0], [0, -2]])
+    assert delta0_linear(a, l_mat) == math.log(2)
+    assert delta0_linear(a.rows, l_mat.rows) == math.log(2)
+
+
 def test_delta0_circle_prefers_smallest_t():
     # rotation by 4.0: the representative closest to zero is 4.0 - 2*pi
     rot = [[0.0, -1.0], [1.0, 0.0]]
@@ -553,6 +561,42 @@ def test_float_recovery_refuses_a_perturbed_coefficient(d, j):
     broken = PolyMap([q + bump if i == j else q for i, q in enumerate(h.coords)], 20)
     with pytest.raises(InconsistentJetError):
         recover_shift_jet(field, broken, 20)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-6])
+def test_float_recovery_refuses_a_misfit_that_passes_the_division(eps):
+    # the slice divided at degree 3 is P * omega_1 = 50(x + y)(x^2, y^2) and the
+    # misfit: one of 1e-7 passes the division's bound, 1e-8 relative to the
+    # slice (5e-7), and is refused by the absolute residual bound of 1e-8
+    # just after it; one of 1e-6 fails the division itself
+    x, y = MultiPoly.variable(2, 0, FLOAT), MultiPoly.variable(2, 1, FLOAT)
+    field = VectorFieldJet(PolyMap([x * x, y * y]))
+    alpha = MultiPoly.const(2, 3.0, FLOAT) + x.scale(50.0) + y.scale(50.0)
+    h = shift_jet(field, alpha, 6) + PolyMap([(x * y * y).scale(eps), MultiPoly.zero(2, FLOAT)])
+    with pytest.raises(InconsistentJetError) as err:
+        recover_shift_jet(field, h, 6)
+    if eps == 1e-7:
+        assert err.value.order == 2
+        assert str(err.value) == "jet differs from the shift by omega_0..omega_1 at degree 3 < p+2"
+        assert isinstance(err.value.residual, PolyMap)
+        assert err.value.residual.max_abs_coeff() == pytest.approx(1e-7, rel=1e-6)
+    else:
+        assert err.value.order == 1
+        assert str(err.value).startswith("jet slice of degree 3 is not P * omega")
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_recovery_refuses_a_jet_off_the_identity_below_the_flat_order(quartic_field, mode):
+    # the quartic field has p = 3: h must be the identity at degrees 1 and 2,
+    # and a term there is refused before any omega is found
+    field = quartic_field if mode == EXACT else VectorFieldJet(quartic_field.field.to_float())
+    x, y = MultiPoly.variable(2, 0, mode), MultiPoly.variable(2, 1, mode)
+    h = shift_jet(field, x, 6) + PolyMap([MultiPoly.zero(2, mode), (x * y).scale(3)])
+    with pytest.raises(InconsistentJetError) as err:
+        recover_shift_jet(field, h, 6)
+    assert err.value.order == 0
+    assert str(err.value) == "jet differs from the identity below the flat order (degree 2)"
+    assert err.value.residual == PolyMap([MultiPoly.zero(2, mode), (x * y).scale(3)])
 
 
 def _dense_drawer(seed):
